@@ -310,18 +310,18 @@ let bench_scrape =
      them — what `adept monitor --scrape-interval` pays 4×/simulated
      second.  Setup (registry population) is outside the staged thunk. *)
   let registry = Adept_obs.Registry.create () in
-  for shard = 0 to 999 do
+  for series = 0 to 999 do
     let g =
       Adept_obs.Registry.gauge registry
-        ~labels:(Adept_obs.Label.v [ ("shard", string_of_int shard) ])
+        ~labels:(Adept_obs.Label.v [ ("series", string_of_int series) ])
         "adept_bench_gauge"
     in
-    Adept_obs.Gauge.set g (float_of_int shard)
+    Adept_obs.Gauge.set g (float_of_int series)
   done;
   let selectors =
     List.init 16 (fun i ->
         Adept_obs.Rule.selector
-          ~labels:(Adept_obs.Label.v [ ("shard", string_of_int (i * 61)) ])
+          ~labels:(Adept_obs.Label.v [ ("series", string_of_int (i * 61)) ])
           "adept_bench_gauge")
   in
   let store = Adept_obs.Timeseries.create ~retention:10.0 selectors in
@@ -466,12 +466,20 @@ let bench_serve_plan_cached =
          | None -> failwith "serve/plan-cached: unexpected cache miss"))
 
 (* The cold plan with the full tracing tax a sampled request pays on
-   the serving path: worker-side stage samples (mutex + raw clock
-   reads), span grafting into the trace store, and the finish
-   accounting.  Its distance from serve/plan-cold IS the observability
-   overhead — gated below. *)
+   the serving path: worker-side stage samples (raw clock reads), span
+   grafting into the trace store, and the finish accounting.  Its
+   distance from serve/plan-cold IS the observability overhead — gated
+   below. *)
 let traced_plan_store =
   lazy (Adept_obs.Request_trace.create ~sample_rate:1.0 ~max_traces:8 ())
+
+(* Plan with stage samples and graft them onto [h]'s chain. *)
+let plan_with_spans traces h ~now =
+  let prof = Sprof.create ~now in
+  (match Srender.plan ~prof serve_plan_params with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  ignore (Sprof.graft prof traces h ~parent:(-1))
 
 let run_plan_traced () =
   let module Rt = Adept_obs.Request_trace in
@@ -481,25 +489,7 @@ let run_plan_traced () =
   match Rt.begin_with_id traces ~id:1 ~now:t0 with
   | None -> failwith "serve/plan-traced: rate-1.0 request not sampled"
   | Some h ->
-      let prof = Sprof.create ~now in
-      (match Srender.plan ~prof serve_plan_params with
-      | Ok (_text, _rho, _nodes_used) -> ()
-      | Error e -> failwith e);
-      let parent = ref (-1) in
-      List.iter
-        (fun (s : Sprof.sample) ->
-          let kind =
-            Rt.Stage
-              (match s.Sprof.ps_stage with
-              | "shard" -> Rt.Shard_plan
-              | "replay" -> Rt.Replay
-              | _ -> Rt.Render_reply)
-          in
-          parent :=
-            Rt.add_span traces h ~parent:!parent ~kind
-              ~node:(max 0 s.Sprof.ps_shard) ~start:s.Sprof.ps_start
-              ~stop:s.Sprof.ps_stop)
-        (Sprof.samples prof);
+      plan_with_spans traces h ~now;
       Rt.finish traces h ~now:(now ())
 
 let bench_serve_plan_traced =
@@ -536,25 +526,7 @@ let run_plan_recorded () =
       ignore
         (Journal.append w
            (Journal.Begin_request { b_at = t0; b_trace = 1; b_sampled = true }));
-      let prof = Sprof.create ~now in
-      (match Srender.plan ~prof serve_plan_params with
-      | Ok (_text, _rho, _nodes_used) -> ()
-      | Error e -> failwith e);
-      let parent = ref (-1) in
-      List.iter
-        (fun (s : Sprof.sample) ->
-          let kind =
-            Rt.Stage
-              (match s.Sprof.ps_stage with
-              | "shard" -> Rt.Shard_plan
-              | "replay" -> Rt.Replay
-              | _ -> Rt.Render_reply)
-          in
-          parent :=
-            Rt.add_span traces h ~parent:!parent ~kind
-              ~node:(max 0 s.Sprof.ps_shard) ~start:s.Sprof.ps_start
-              ~stop:s.Sprof.ps_stop)
-        (Sprof.samples prof);
+      plan_with_spans traces h ~now;
       let t1 = now () in
       let tr = Rt.finish_trace traces h ~now:t1 in
       ignore

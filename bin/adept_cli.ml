@@ -1489,7 +1489,7 @@ let parse_address s =
   | Error e -> exit_err ("bad --address: " ^ e)
 
 let serve_cmd =
-  let run address workers shards cache_capacity max_requests prom_out live
+  let run address workers cache_capacity max_requests prom_out live
       trace_sample_rate access_log rules_file scrape_interval journal
       journal_segment_bytes journal_max_segments otlp =
     let registry = Adept_obs.Registry.create () in
@@ -1550,7 +1550,6 @@ let serve_cmd =
       {
         Serve.address = parse_address address;
         workers;
-        shards;
         cache_capacity;
         max_requests;
         registry = Some registry;
@@ -1572,12 +1571,6 @@ let serve_cmd =
     Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N"
            ~doc:"Worker domains (default: this machine's recommended domain \
                  count minus one).")
-  in
-  let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-           ~doc:"Planner shards for the heuristic (default: the worker count). \
-                 Any value yields bit-identical plans; it only changes how the \
-                 work spreads across domains.")
   in
   let cache_capacity =
     Arg.(value & opt int 128 & info [ "cache-capacity" ] ~docv:"N"
@@ -1610,7 +1603,7 @@ let serve_cmd =
   let access_log =
     Arg.(value & opt (some string) None & info [ "access-log" ] ~docv:"FILE"
            ~doc:"Append one JSON line per served request: trace id, method, \
-                 platform digest, cache hit/miss, shard count, wall-clock \
+                 platform digest, cache hit/miss, wall-clock \
                  duration, status.  Implies live observability.")
   in
   let rules_file =
@@ -1653,8 +1646,8 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the planner as a long-lived, concurrent, sharded service")
-    Term.(const run $ address_arg $ workers $ shards $ cache_capacity
+       ~doc:"Run the planner as a long-lived, concurrent service")
+    Term.(const run $ address_arg $ workers $ cache_capacity
           $ max_requests $ prom_out $ live $ trace_sample_rate $ access_log
           $ rules_file $ scrape_interval $ journal $ journal_segment_bytes
           $ journal_max_segments $ otlp)
@@ -1789,7 +1782,7 @@ let print_stats (s : Proto.server_stats) =
     s.Proto.cache_hits s.Proto.cache_misses s.Proto.cache_evictions
     s.Proto.cache_invalidations;
   Printf.printf "coalesced: %d\n" s.Proto.coalesced;
-  Printf.printf "workers: %d shards: %d\n" s.Proto.workers s.Proto.shards;
+  Printf.printf "workers: %d\n" s.Proto.workers;
   match s.Proto.live with
   | None -> ()
   | Some l ->
@@ -1869,7 +1862,7 @@ let query_trace_cmd =
     (Cmd.info "trace"
        ~doc:"Dump the server's slowest sampled requests as Chrome trace-event \
              JSON (open in Perfetto): frame read, parse, cache lookup, \
-             per-shard plan, replay, render and write spans per request")
+             plan, render and write spans per request")
     Term.(const run $ address_arg $ out $ otlp)
 
 let query_cmd =

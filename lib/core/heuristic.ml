@@ -313,19 +313,9 @@ let build_for_target params ~platform ~wapp ~target =
   let pool = Node_pool.create params ~bandwidth ~wapp (Platform.nodes platform) in
   if Node_pool.size pool < 2 then None else build params pool ~target
 
-(* One probe as a standalone entry point for concurrent callers: the
-   build is a pure function of (params, pool, target) and the pool is
-   immutable after creation, so several domains may probe one shared
-   pool at once.  The only mutable state is the capacity scratch, held
-   per domain (not per pool — it is re-blanked and, when a bigger pool
-   comes along, re-sized on entry). *)
-let probe_scratch = Domain.DLS.new_key (fun () -> ref [||])
-
-let probe params pool ~target =
-  let cell = Domain.DLS.get probe_scratch in
-  let need = max 1 (Node_pool.class_count pool) in
-  if Array.length !cell < need then cell := Array.make need (-1);
-  build ~scratch:!cell params pool ~target
+(* One probe against a prepared pool, as a standalone entry point
+   (per-probe timing); allocates its own capacity scratch. *)
+let probe params pool ~target = build params pool ~target
 
 let pool_of params ~platform ~wapp =
   match Link.uniform_bandwidth (Platform.link platform) with
@@ -333,7 +323,7 @@ let pool_of params ~platform ~wapp =
   | Some bandwidth ->
       Some (Node_pool.create params ~bandwidth ~wapp (Platform.nodes platform))
 
-let plan ?probe params ~platform ~wapp ~demand =
+let plan params ~platform ~wapp ~demand =
   let n = Platform.size platform in
   if n < 2 then Error "heuristic: need at least two nodes (one agent, one server)"
   else if wapp <= 0.0 || not (Float.is_finite wapp) then
@@ -347,20 +337,8 @@ let plan ?probe params ~platform ~wapp ~demand =
         let probes = ref [] in
         let candidates = ref [] in
         let scratch = scratch_for pool in
-        (* [?probe] swaps the builder out from under the driver — the
-           sharded service memoizes speculative builds and feeds them
-           back here, so every decision (probe order, candidate order,
-           tie-breaks) is made by this very loop and the result is
-           bit-identical to the sequential plan by construction.  The
-           override MUST return exactly what [build] returns for the
-           same target; {!probe} does. *)
-        let run_build =
-          match probe with
-          | Some f -> f
-          | None -> fun ~target -> build ~scratch params pool ~target
-        in
         let try_target target =
-          match run_build ~target with
+          match build ~scratch params pool ~target with
           | None ->
               probes :=
                 { target; feasible = false; achieved_rho = 0.0; nodes_used = 0 }

@@ -52,7 +52,6 @@ type result = {
 }
 
 val plan :
-  ?probe:(target:float -> Tree.t option) ->
   Adept_model.Params.t ->
   platform:Platform.t ->
   wapp:float ->
@@ -60,22 +59,13 @@ val plan :
   (result, string) Stdlib.result
 (** Plan a deployment.  Errors: fewer than two nodes, non-positive [wapp],
     or heterogeneous connectivity (the model needs a single [B]).
-    The returned tree always passes [Validate.check ~platform].
-
-    [?probe] replaces the internal per-target builder — every decision
-    (bisection order, candidate collection, tie-breaking) stays in this
-    driver, so a caller that answers each target with exactly what
-    {!probe} would return (e.g. from a memo filled concurrently by
-    worker domains) gets a bit-identical plan.  An override returning
-    anything else voids the equivalence guarantee. *)
+    The returned tree always passes [Validate.check ~platform]. *)
 
 val probe :
   Adept_model.Params.t -> Node_pool.t -> target:float -> Tree.t option
 (** One bisection probe against a prepared pool: the level-by-level
     build (including normalization and agent lightening) at [target].
-    A pure function of its arguments over an immutable pool, safe to
-    call concurrently from several domains; the capacity scratch it
-    reuses is per-domain state ([Domain.DLS]). *)
+    A pure function of its arguments over an immutable pool. *)
 
 val pool_of :
   Adept_model.Params.t ->
@@ -83,8 +73,8 @@ val pool_of :
   wapp:float ->
   Node_pool.t option
 (** The pool {!plan} would build internally — [None] on heterogeneous
-    connectivity.  Lets concurrent callers precompute {!probe} results
-    against the same sorted view the driver will use. *)
+    connectivity.  Lets callers re-run single {!probe}s (e.g. to time
+    them one by one) against the same sorted view the driver uses. *)
 
 val plan_tree :
   Adept_model.Params.t ->

@@ -142,16 +142,6 @@ let run strategy params ~platform ~wapp ~demand =
   let* pair = plan_tree strategy params ~platform ~wapp ~demand in
   finish strategy params ~platform ~demand ~wapp pair
 
-let run_with_probe probe params ~platform ~wapp ~demand =
-  let* pair =
-    Result.map_error
-      (fun reason -> Error.no_feasible ~strategy:(strategy_name Heuristic) "%s" reason)
-      (Result.map
-         (fun (r : Heuristic.result) -> (r.tree, List.length r.probes))
-         (Heuristic.plan ~probe params ~platform ~wapp ~demand))
-  in
-  finish Heuristic params ~platform ~demand ~wapp pair
-
 type replan_result = {
   replanned : plan;
   failed : Node.id list;

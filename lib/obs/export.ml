@@ -276,9 +276,7 @@ let chrome_trace_spans ~exemplars ~requests ~sampled ~finished ~dropped
                  pid tid
                  (Label.json_string
                     (match sp.Rt.sp_kind with
-                    | Rt.Stage _ ->
-                        if sp.Rt.sp_node < 0 then "server"
-                        else Printf.sprintf "shard %d" sp.Rt.sp_node
+                    | Rt.Stage _ -> "server"
                     | _ ->
                         if sp.Rt.sp_node < 0 then "client/net"
                         else Printf.sprintf "node %d" sp.Rt.sp_node)))

@@ -15,7 +15,7 @@
     recorded values.
 
     Two histograms with the same [alpha] can be merged; merging the
-    snapshots of shards is equivalent to recording the union of their
+    snapshots of partial streams is equivalent to recording the union of their
     streams into one histogram (associative and commutative). *)
 
 type t

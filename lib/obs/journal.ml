@@ -37,7 +37,6 @@ type record =
       m_scrape_interval : float;
       m_retention : float;
       m_workers : int;
-      m_shards : int;
     }
   | Begin_request of { b_at : float; b_trace : int; b_sampled : bool }
   | Finish of {
@@ -154,7 +153,9 @@ let encode r =
       put_f64 buf m.m_scrape_interval;
       put_f64 buf m.m_retention;
       put_i64 buf m.m_workers;
-      put_i64 buf m.m_shards
+      (* A retired i64 slot, kept so both older and newer readers
+         decode the record: written 0, skipped on read. *)
+      put_i64 buf 0
   | Begin_request b ->
       put_f64 buf b.b_at;
       put_i64 buf b.b_trace;
@@ -212,7 +213,7 @@ let encode r =
   | Dump_marker d -> put_f64 buf d.d_at);
   Buffer.contents buf
 
-let decode payload =
+let decode_exn payload =
   let cur = { data = payload; pos = 0 } in
   match get_u8 cur with
   | 1 ->
@@ -223,7 +224,7 @@ let decode payload =
       let m_scrape_interval = get_f64 cur in
       let m_retention = get_f64 cur in
       let m_workers = get_i64 cur in
-      let m_shards = get_i64 cur in
+      ignore (get_i64 cur);
       Some
         (Meta
            {
@@ -234,7 +235,6 @@ let decode payload =
              m_scrape_interval;
              m_retention;
              m_workers;
-             m_shards;
            })
   | 2 ->
       let b_at = get_f64 cur in
@@ -328,6 +328,8 @@ let decode payload =
   | 7 -> Some (Dump_marker { d_at = get_f64 cur })
   | _ -> None (* unknown tag: a future record kind, skip it *)
 
+let decode payload = try decode_exn payload with Bad_record -> None
+
 (* ------------------------------------------------------------------ *)
 (* Segment files.                                                     *)
 
@@ -347,7 +349,8 @@ let list_segments dir =
 
 (* Scan a segment file, returning the decoded records, the byte offset
    of the end of the last whole valid record (the truncation point for
-   torn tails), and how many payload bytes past it were lost. *)
+   torn tails), how many payload bytes past it were lost, and how many
+   whole records did not decode. *)
 let scan_segment path =
   let ic = open_in_bin path in
   Fun.protect
@@ -356,12 +359,13 @@ let scan_segment path =
       let size = in_channel_length ic in
       let data = really_input_string ic size in
       if size < String.length magic || String.sub data 0 (String.length magic) <> magic
-      then (`Bad_magic, [], 0, size)
+      then (`Bad_magic, [], 0, size, 0)
       else begin
         let records = ref [] in
         let pos = ref (String.length magic) in
         let valid_end = ref !pos in
         let torn = ref false in
+        let skipped = ref 0 in
         (try
            while !pos + 8 <= size do
              let len = Int32.to_int (String.get_int32_le data !pos) in
@@ -379,14 +383,14 @@ let scan_segment path =
              end;
              (match decode payload with
              | Some r -> records := r :: !records
-             | None | (exception Bad_record) -> () (* unknown kind: skip *));
+             | None -> incr skipped);
              pos := !pos + 8 + len;
              valid_end := !pos
            done;
            if !pos < size then torn := true
          with Exit -> ());
         let status = if !torn then `Torn else `Ok in
-        (status, List.rev !records, !valid_end, size - !valid_end)
+        (status, List.rev !records, !valid_end, size - !valid_end, !skipped)
       end)
 
 type read_stats = {
@@ -394,6 +398,7 @@ type read_stats = {
   r_records : int;
   r_truncated : int;  (* segments with a torn or corrupt tail *)
   r_bytes_lost : int;
+  r_skipped : int;
 }
 
 type reader = { r_recs : record list; r_stats : read_stats }
@@ -411,9 +416,11 @@ let open_ path =
     if segments = [] then Error (path ^ ": no journal segments")
     else begin
       let recs = ref [] and n = ref 0 and torn = ref 0 and lost = ref 0 in
+      let skipped = ref 0 in
       List.iter
         (fun seg ->
-          let status, rs, _, bytes_lost = scan_segment seg in
+          let status, rs, _, bytes_lost, bad = scan_segment seg in
+          skipped := !skipped + bad;
           (match status with
           | `Ok -> ()
           | `Torn | `Bad_magic ->
@@ -431,6 +438,7 @@ let open_ path =
               r_records = !n;
               r_truncated = !torn;
               r_bytes_lost = !lost;
+              r_skipped = !skipped;
             };
         }
     end
@@ -485,7 +493,7 @@ let create ?(segment_bytes = default_segment_bytes)
       | (seq, path) :: _ ->
           (* crash recovery: truncate the newest segment's torn tail so
              the next append lands after the last whole record *)
-          let status, _, valid_end, _ = scan_segment path in
+          let status, _, valid_end, _, _ = scan_segment path in
           (match status with
           | `Ok -> ()
           | `Torn ->

@@ -51,7 +51,6 @@ type record =
       m_scrape_interval : float;
       m_retention : float;
       m_workers : int;
-      m_shards : int;
     }  (** First record of a serving run: the observability config. *)
   | Begin_request of { b_at : float; b_trace : int; b_sampled : bool }
       (** A request arrived carrying a trace id. *)
@@ -83,9 +82,10 @@ val encode : record -> string
 (** The record payload (without framing) — exposed for tests. *)
 
 val decode : string -> record option
-(** Inverse of {!encode}; [None] on an unknown (future) tag.
-    @raise Bad_record nothing — malformed payloads return [None] or
-    are caught internally by the segment scanner. *)
+(** Inverse of {!encode}; [None] on an unknown (future) tag, a
+    truncated or malformed payload, or a span whose kind code no
+    current {!Request_trace.kind} has (a retired stage).  Never
+    raises. *)
 
 (** {1 Writing} *)
 
@@ -122,6 +122,10 @@ type read_stats = {
       (** Segments whose tail was torn or corrupt — every whole record
           before the tear is still returned. *)
   r_bytes_lost : int;  (** Bytes discarded across all torn tails. *)
+  r_skipped : int;
+      (** Whole, checksum-valid records that did not {!decode} (a future
+          record tag, or a span of a retired stage kind): left out of
+          {!records}. *)
 }
 
 type reader

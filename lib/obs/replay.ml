@@ -156,7 +156,7 @@ let summary ?(stats : Journal.read_stats option) t =
   | None -> line "window   (empty journal window)");
   (match stats with
   | Some s ->
-      line "journal  %d segment%s, %d records%s" s.Journal.r_segments
+      line "journal  %d segment%s, %d records%s%s" s.Journal.r_segments
         (if s.Journal.r_segments = 1 then "" else "s")
         s.Journal.r_records
         (if s.Journal.r_truncated > 0 then
@@ -164,6 +164,9 @@ let summary ?(stats : Journal.read_stats option) t =
              s.Journal.r_truncated
              (if s.Journal.r_truncated = 1 then "" else "s")
              s.Journal.r_bytes_lost
+         else "")
+        (if s.Journal.r_skipped > 0 then
+           Printf.sprintf ", %d undecodable skipped" s.Journal.r_skipped
          else "")
   | None -> ());
   (match t.rp_last_scrape with

@@ -6,8 +6,7 @@ type stage =
   | Frame_read
   | Parse
   | Cache_lookup
-  | Shard_plan
-  | Replay
+  | Plan
   | Render_reply
   | Write_reply
 
@@ -36,8 +35,7 @@ let stage_name = function
   | Frame_read -> "frame_read"
   | Parse -> "parse"
   | Cache_lookup -> "cache_lookup"
-  | Shard_plan -> "shard_plan"
-  | Replay -> "replay"
+  | Plan -> "plan"
   | Render_reply -> "render"
   | Write_reply -> "write"
 
@@ -63,12 +61,13 @@ let message_rank = function
 
 let step_rank = function Wreq -> 0 | Wrep -> 1 | Wpre -> 2 | Service -> 3
 
+(* Rank 3 belonged to a retired stage; the gap keeps every other
+   stage's journal byte code unchanged. *)
 let stage_rank = function
   | Frame_read -> 0
   | Parse -> 1
   | Cache_lookup -> 2
-  | Shard_plan -> 3
-  | Replay -> 4
+  | Plan -> 4
   | Render_reply -> 5
   | Write_reply -> 6
 
@@ -81,40 +80,25 @@ let kind_rank = function
 
 let compare_kind a b = compare (kind_rank a) (kind_rank b)
 
-(* Stable wire codec for kinds (the flight recorder persists spans).
-   [kind_rank] is already a dense total order; pack it into one byte. *)
+(* Stable wire codec for kinds (the flight recorder persists spans):
+   [kind_rank] packed into one byte.  Decoding looks the byte up in a
+   table of every current kind, so any other byte decodes to [None]. *)
 let kind_code k =
   let group, sub = kind_rank k in
   (group * 16) + sub
 
-let message_of_rank = function
-  | 0 -> Submit
-  | 1 -> Forward
-  | 2 -> Reply
-  | 3 -> Answer
-  | 4 -> Service_request
-  | _ -> Service_reply
-
-let step_of_rank = function 0 -> Wreq | 1 -> Wrep | 2 -> Wpre | _ -> Service
-
-let stage_of_rank = function
-  | 0 -> Frame_read
-  | 1 -> Parse
-  | 2 -> Cache_lookup
-  | 3 -> Shard_plan
-  | 4 -> Replay
-  | 5 -> Render_reply
-  | _ -> Write_reply
-
-let kind_of_code c =
-  let group = c / 16 and sub = c mod 16 in
-  match group with
-  | 0 -> Some (Send (message_of_rank sub))
-  | 1 -> Some (Wire (message_of_rank sub))
-  | 2 -> Some (Recv (message_of_rank sub))
-  | 3 -> Some (Compute (step_of_rank sub))
-  | 4 -> Some (Stage (stage_of_rank sub))
-  | _ -> None
+let kind_of_code =
+  let table = Array.make 256 None in
+  List.iter
+    (fun k -> table.(kind_code k) <- Some k)
+    (List.concat_map
+       (fun m -> [ Send m; Wire m; Recv m ])
+       [ Submit; Forward; Reply; Answer; Service_request; Service_reply ]
+    @ List.map (fun s -> Compute s) [ Wreq; Wrep; Wpre; Service ]
+    @ List.map
+        (fun s -> Stage s)
+        [ Frame_read; Parse; Cache_lookup; Plan; Render_reply; Write_reply ]);
+  fun c -> if c < 0 || c > 255 then None else table.(c)
 
 type span = {
   sp_id : int;

@@ -36,14 +36,12 @@ type step =
   | Service  (** Server application execution, Eq. 5. *)
 
 (** Stages of one planning-server request (the wall-clock serving path,
-    in causal order).  [Shard_plan] spans carry the shard index in
-    [sp_node]; every other stage uses node -1 (the serving process). *)
+    in causal order).  Every stage uses node -1 (the serving process). *)
 type stage =
   | Frame_read  (** Socket read until the frame completed. *)
   | Parse  (** JSON decode of the request envelope. *)
   | Cache_lookup  (** Plan-fragment cache probe. *)
-  | Shard_plan  (** One per-shard hint computation on a worker domain. *)
-  | Replay  (** Sequential bisection replay over the memoized probes. *)
+  | Plan  (** The planner run on a worker domain. *)
   | Render_reply  (** Formatting the reply text. *)
   | Write_reply  (** Frame write back to the client. *)
 
@@ -65,7 +63,8 @@ val kind_code : kind -> int
     spans).  Inverse of {!kind_of_code}. *)
 
 val kind_of_code : int -> kind option
-(** Decode a {!kind_code}; [None] on bytes no current kind produces. *)
+(** Decode a {!kind_code}; [None] on every int no current kind produces
+    (including the retired stage code [0x43]). *)
 
 type span = {
   sp_id : int;  (** Dense per-trace index, in completion order. *)

@@ -1,27 +1,18 @@
-(* A fixed pool of worker domains with a shared run queue and
-   help-while-waiting futures.
+(* A fixed pool of worker domains with a shared run queue and futures.
 
    OCaml 5 domains are heavyweight (one runtime per domain), so the pool
    is sized once at server start — never per request — and every unit of
-   CPU work (a whole request, or one speculative bisection probe inside
-   one) goes through [submit].  [await] HELPS: while its future is
-   unresolved it pulls queued tasks and runs them on the calling domain.
-   That makes nested submission safe — a planning task running on a
-   worker can fan out probe tasks and await them without deadlocking the
-   pool, because waiting workers drain the very queue their dependencies
-   sit in. *)
-
-type task = { run : unit -> unit }
+   CPU work (one whole request) goes through [submit].  Tasks do not
+   submit tasks, so [await] is a plain wait on the future. *)
 
 type t = {
-  queue : task Queue.t;
+  queue : (unit -> unit) Queue.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
   mutable closed : bool;
   mutable domains : unit Domain.t array;
   workers : int;
-  (* Wall seconds each worker spent inside task bodies (help-while-await
-     nests inside the outer task and is covered by it).  One writer per
+  (* Wall seconds each worker spent inside task bodies.  One writer per
      cell; [Atomic] so the event-loop domain reads torn-free. *)
   busy : float Atomic.t array;
 }
@@ -32,16 +23,14 @@ type 'a future = {
   mutable state : 'a state;
   fm : Mutex.t;
   resolved : Condition.t;
-  pool : t;
 }
 
-let try_pop t =
-  Mutex.lock t.mutex;
-  let task = Queue.take_opt t.queue in
-  Mutex.unlock t.mutex;
-  task
-
 let worker_loop t idx () =
+  (* SIGINT/SIGTERM belong to the thread that spawned the pool (a
+     server's event loop): blocked here, the kernel never hands one to
+     a worker parked in [Condition.wait], where it would wake nothing,
+     and OCaml runs their handlers on the spawning domain only. *)
+  ignore (Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ]);
   let rec go () =
     Mutex.lock t.mutex;
     let rec wait () =
@@ -49,7 +38,7 @@ let worker_loop t idx () =
       | Some task ->
           Mutex.unlock t.mutex;
           let started = Unix.gettimeofday () in
-          task.run ();
+          task ();
           Atomic.set t.busy.(idx)
             (Atomic.get t.busy.(idx) +. (Unix.gettimeofday () -. started));
           true
@@ -92,7 +81,7 @@ let size t = t.workers
 let busy_seconds t = Array.map Atomic.get t.busy
 
 let submit ?on_resolve t f =
-  let fut = { state = Pending; fm = Mutex.create (); resolved = Condition.create (); pool = t } in
+  let fut = { state = Pending; fm = Mutex.create (); resolved = Condition.create () } in
   let run () =
     let outcome =
       match f () with
@@ -119,7 +108,7 @@ let submit ?on_resolve t f =
     run ()
   end
   else begin
-    Queue.push { run } t.queue;
+    Queue.push run t.queue;
     Condition.signal t.nonempty;
     Mutex.unlock t.mutex
   end;
@@ -132,29 +121,16 @@ let peek fut =
   s
 
 let await fut =
-  let t = fut.pool in
-  let rec help () =
-    match peek fut with
-    | Done v -> v
-    | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-    | Pending -> (
-        (* Help: run someone else's task — possibly the one this future
-           depends on — instead of blocking a domain. *)
-        match try_pop t with
-        | Some task ->
-            task.run ();
-            help ()
-        | None ->
-            (* Nothing runnable: the dependency is mid-flight on another
-               domain.  Sleep on the future itself. *)
-            Mutex.lock fut.fm;
-            while fut.state = Pending do
-              Condition.wait fut.resolved fut.fm
-            done;
-            Mutex.unlock fut.fm;
-            help ())
-  in
-  help ()
+  Mutex.lock fut.fm;
+  while fut.state = Pending do
+    Condition.wait fut.resolved fut.fm
+  done;
+  let s = fut.state in
+  Mutex.unlock fut.fm;
+  match s with
+  | Done v -> v
+  | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
+  | Pending -> assert false
 
 let is_resolved fut = peek fut <> Pending
 

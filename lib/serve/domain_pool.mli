@@ -1,19 +1,17 @@
-(** A fixed pool of OCaml 5 worker domains with help-while-waiting
-    futures.
+(** A fixed pool of OCaml 5 worker domains with futures.
 
     Domains are heavyweight (one runtime each), so the pool is sized
     once at server start and every unit of CPU work goes through
-    {!submit}.  {!await} {e helps}: while its future is unresolved it
-    runs queued tasks on the calling domain, so a task may submit
-    sub-tasks and await them without deadlocking the pool — waiting
-    workers drain the very queue their dependencies sit in. *)
+    {!submit}.  Tasks must not await other tasks of the same pool: a
+    worker blocked in {!await} runs nothing else meanwhile. *)
 
 type t
 
 val create : ?workers:int -> unit -> t
 (** Spawn the worker domains.  Default:
     [Domain.recommended_domain_count () - 1] (the caller's domain keeps
-    one), at least 1. *)
+    one), at least 1.  Workers block SIGINT and SIGTERM, so those
+    signals always reach a thread outside the pool. *)
 
 val size : t -> int
 (** Number of worker domains. *)
@@ -27,9 +25,9 @@ val busy_seconds : t -> float array
 type 'a future
 
 val submit : ?on_resolve:(unit -> unit) -> t -> (unit -> 'a) -> 'a future
-(** Enqueue.  Tasks run in submission order (modulo helping).  A task
-    submitted after {!shutdown} runs inline on the submitting domain —
-    a draining pool never loses work.
+(** Enqueue.  Tasks start in submission order.  A task submitted after
+    {!shutdown} runs inline on the submitting domain — a draining pool
+    never loses work.
 
     [on_resolve] fires on the running domain {e after} the future is
     resolved — including when the task raises.  Use it for wakeup
@@ -39,8 +37,8 @@ val submit : ?on_resolve:(unit -> unit) -> t -> (unit -> 'a) -> 'a future
     swallowed. *)
 
 val await : 'a future -> 'a
-(** Block until resolved, helping with queued tasks meanwhile.
-    Re-raises (with backtrace) if the task raised. *)
+(** Block until resolved.  Re-raises (with backtrace) if the task
+    raised. *)
 
 val is_resolved : 'a future -> bool
 (** Non-blocking completion check. *)

@@ -1,40 +1,35 @@
-type sample = {
-  ps_stage : string;
-  ps_shard : int;
-  ps_start : float;
-  ps_stop : float;
-}
+module Rt = Adept_obs.Request_trace
+
+type sample = { ps_stage : Rt.stage; ps_start : float; ps_stop : float }
 
 type t = {
   now : unit -> float;
-  mutex : Mutex.t;
   mutable samples : sample list;  (* newest first *)
 }
 
-let create ~now = { now; mutex = Mutex.create (); samples = [] }
+let create ~now = { now; samples = [] }
 
-let record t ~stage ~shard ~start ~stop =
-  Mutex.lock t.mutex;
-  t.samples <-
-    { ps_stage = stage; ps_shard = shard; ps_start = start; ps_stop = stop }
-    :: t.samples;
-  Mutex.unlock t.mutex
+let record t ~stage ~start ~stop =
+  t.samples <- { ps_stage = stage; ps_start = start; ps_stop = stop } :: t.samples
 
-let time t ~stage ?(shard = -1) f =
+let time t ~stage f =
   match t with
   | None -> f ()
   | Some t -> (
       let start = t.now () in
       match f () with
       | v ->
-          record t ~stage ~shard ~start ~stop:(t.now ());
+          record t ~stage ~start ~stop:(t.now ());
           v
       | exception e ->
-          record t ~stage ~shard ~start ~stop:(t.now ());
+          record t ~stage ~start ~stop:(t.now ());
           raise e)
 
-let samples t =
-  Mutex.lock t.mutex;
-  let s = t.samples in
-  Mutex.unlock t.mutex;
-  List.rev s
+let samples t = List.rev t.samples
+
+let graft t store h ~parent =
+  List.fold_left
+    (fun parent s ->
+      Rt.add_span store h ~parent ~kind:(Rt.Stage s.ps_stage) ~node:(-1)
+        ~start:s.ps_start ~stop:s.ps_stop)
+    parent (samples t)

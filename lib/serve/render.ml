@@ -59,23 +59,20 @@ let plan_text ~platform ~wapp (plan : Adept.Planner.plan) =
   in
   head ^ body
 
-let run_plan ?pool ?shards ?prof strategy ~platform ~wapp ~demand =
-  let result =
-    match (strategy, pool) with
-    | Adept.Planner.Heuristic, Some pool ->
-        fst (Shard.plan ?shards ?prof ~pool params ~platform ~wapp ~demand)
-    | _ -> Adept.Planner.run strategy params ~platform ~wapp ~demand
-  in
-  Result.map_error Adept.Error.to_string result
+let run_plan ?pool:_ ?shards:_ ?prof strategy ~platform ~wapp ~demand =
+  Prof.time prof ~stage:Adept_obs.Request_trace.Plan (fun () ->
+      Result.map_error Adept.Error.to_string
+        (Adept.Planner.run strategy params ~platform ~wapp ~demand))
 
-let plan ?pool ?shards ?prof (p : Protocol.plan_params) =
+let plan ?prof (p : Protocol.plan_params) =
   let* platform = platform_of_spec p.Protocol.spec in
   let* wapp = wapp_of_dgemm p.Protocol.dgemm in
   let* strategy = strategy_of_string p.Protocol.strategy in
   let demand = demand_of p.Protocol.demand in
-  let* plan = run_plan ?pool ?shards ?prof strategy ~platform ~wapp ~demand in
+  let* plan = run_plan ?prof strategy ~platform ~wapp ~demand in
   let text =
-    Prof.time prof ~stage:"render" (fun () -> plan_text ~platform ~wapp plan)
+    Prof.time prof ~stage:Adept_obs.Request_trace.Render_reply (fun () ->
+        plan_text ~platform ~wapp plan)
   in
   Ok (text, plan.Adept.Planner.predicted_rho, plan.Adept.Planner.nodes_used)
 

@@ -33,17 +33,14 @@ val run_plan :
   wapp:float ->
   demand:Adept_model.Demand.t ->
   (Adept.Planner.plan, string) result
-(** Plan, sharding the heuristic across [pool] when given (bit-identical
-    by {!Shard.plan}'s replay); other strategies always run inline. *)
+(** Plan inline with {!Adept.Planner.run}; [prof] collects one wall-clock
+    [Plan] stage sample.  [pool] and [shards] are accepted and ignored:
+    they remain only for callers written against the retired sharded
+    planner, which passed them here. *)
 
-val plan :
-  ?pool:Domain_pool.t ->
-  ?shards:int ->
-  ?prof:Prof.t ->
-  Protocol.plan_params ->
-  (string * float * int, string) result
+val plan : ?prof:Prof.t -> Protocol.plan_params -> (string * float * int, string) result
 (** Execute a plan request: [(text, predicted_rho, nodes_used)].
-    [prof] collects wall-clock shard/replay/render stage samples;
+    [prof] collects wall-clock [Plan] and [Render_reply] stage samples;
     passing it never changes the produced bytes. *)
 
 val replan : Protocol.replan_params -> (string * float, string) result

@@ -27,7 +27,7 @@
 
    Wall-clock observability is opt-in ([config.obs]).  When on, the
    event loop additionally: head-samples request spans (frame read →
-   parse → cache lookup → per-shard plan → replay → render → write)
+   parse → cache lookup → plan → render → write)
    into a {!Adept_obs.Request_trace} slowest-N reservoir, consumes the
    OCaml runtime's event ring into GC-pause histograms, scrapes the
    registry into a bounded {!Adept_obs.Timeseries} on a wall-clock tick
@@ -156,7 +156,6 @@ let trace_max_spans = 4096
 type config = {
   address : address;
   workers : int option;  (** worker domains; default [recommended - 1] *)
-  shards : int option;  (** planner shards; default = worker count *)
   cache_capacity : int;
   max_requests : int option;  (** drain after this many dispatches *)
   registry : Adept_obs.Registry.t option;
@@ -167,7 +166,6 @@ let default_config address =
   {
     address;
     workers = None;
-    shards = None;
     cache_capacity = 128;
     max_requests = None;
     registry = None;
@@ -285,8 +283,6 @@ type t = {
   m_latency : Adept_obs.Histogram.t;
 }
 
-let shards t = Option.value ~default:(Domain_pool.size t.pool) t.config.shards
-
 let registry t = t.registry
 
 let listen_socket address =
@@ -312,6 +308,25 @@ let listen_socket address =
    allocation in signal context. *)
 let stop_requested = Atomic.make false
 
+let poke fd = ignore (Unix.write fd (Bytes.of_string "x") 0 1)
+
+(* Installed before the listener is bound: a client can connect, and
+   signal, as soon as the socket listens, and the default SIGTERM
+   action would kill the server rather than drain it. *)
+let install_signal_handlers wake_w =
+  let handler _ =
+    Atomic.set stop_requested true;
+    (* Poke the select from the signal context; a failed write only
+       delays the drain until the next wakeup. *)
+    try poke wake_w with _ -> ()
+  in
+  (try Sys.set_signal Sys.sigint (Sys.Signal_handle handler)
+   with Invalid_argument _ | Sys_error _ -> ());
+  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle handler)
+   with Invalid_argument _ | Sys_error _ -> ());
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ | Sys_error _ -> ()
+
 let create (config : config) =
   (* Reset here, not in [serve]: a stop requested between [create] and
      [serve] (a signal racing a slow startup) must drain the server, not
@@ -322,8 +337,9 @@ let create (config : config) =
     | Some r -> r
     | None -> Adept_obs.Registry.create ()
   in
-  let pool = Domain_pool.create ?workers:config.workers () in
   let wake_r, wake_w = Unix.pipe () in
+  install_signal_handlers wake_w;
+  let pool = Domain_pool.create ?workers:config.workers () in
   let m_eviction_age =
     Adept_obs.Registry.histogram registry Semconv.serve_cache_eviction_age_seconds
   in
@@ -390,9 +406,6 @@ let create (config : config) =
                      m_scrape_interval = oc.scrape_interval;
                      m_retention = oc.retention;
                      m_workers = Domain_pool.size pool;
-                     m_shards =
-                       Option.value ~default:(Domain_pool.size pool)
-                         config.shards;
                    })
             in
             Adept_obs.Counter.inc j_records;
@@ -606,7 +619,6 @@ let otlp_resource t o =
   [
     ("service.name", "adept-serve");
     ("adept.workers", string_of_int (Domain_pool.size t.pool));
-    ("adept.shards", string_of_int (shards t));
     ("adept.connections.open", string_of_int (List.length t.conns));
     ("adept.connections.traced", string_of_int (List.length conns));
   ]
@@ -702,12 +714,10 @@ let current_stats t =
     cache_invalidations = Cache.invalidations t.cache;
     coalesced = t.coalesced;
     workers = Domain_pool.size t.pool;
-    shards = shards t;
     live = Option.map (fun o -> live_stats t o) t.obs;
   }
 
-let log_access o ~now ~trace ~method_ ~digest ~cache ~shard_count ~duration
-    ~status =
+let log_access o ~now ~trace ~method_ ~digest ~cache ~duration ~status =
   if o.o_access <> None || o.o_journal <> None then begin
     let fields =
       [ ("at", Json.Float now) ]
@@ -723,7 +733,6 @@ let log_access o ~now ~trace ~method_ ~digest ~cache ~shard_count ~duration
         | Some hit ->
             [ ("cache", Json.String (if hit then "hit" else "miss")) ])
       @ [
-          ("shards", Json.Int shard_count);
           ("duration", Json.Float duration);
           ("status", Json.String status);
         ]
@@ -748,7 +757,7 @@ let record_stage t ~robs ~kind ~node ~start ~stop =
 
 (* ---------- dispatch ---------- *)
 
-let wake t = ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
+let wake t = poke t.wake_w
 
 let submit_work t conn id ?coalesce_key ?cache_key ?invalidate ~robs ~prof
     ~trace ~method_ ~digest ~frame0 work =
@@ -805,7 +814,7 @@ let answer_inline t ~robs ~frame0 ~trace ~method_ ~digest ~cache conn id
           let spans_n = Rt.span_count h in
           let tr = Rt.finish_trace o.o_traces h ~now:t1 in
           note_traced_finish o ~conn ~h ~spans_n ~issued:frame0 ~now:t1 tr);
-      log_access o ~now:t1 ~trace ~method_ ~digest ~cache ~shard_count:0
+      log_access o ~now:t1 ~trace ~method_ ~digest ~cache
         ~duration:(t1 -. frame0) ~status:"ok"
 
 let dispatch t conn ~robs ~frame0 { Protocol.id; trace; request } =
@@ -858,16 +867,14 @@ let dispatch t conn ~robs ~frame0 { Protocol.id; trace; request } =
         | _ -> None
       in
       let run_plan () =
-        let pool = t.pool and n_shards = shards t in
-        fun () ->
-          W_plan
-            (Result.map
-               (fun (text, rho, nodes_used) -> { Cache.text; rho; nodes_used })
-               (Render.plan ~pool ~shards:n_shards ?prof p))
+        W_plan
+          (Result.map
+             (fun (text, rho, nodes_used) -> { Cache.text; rho; nodes_used })
+             (Render.plan ?prof p))
       in
       let submit ?coalesce_key ?cache_key ~digest () =
         submit_work t conn id ?coalesce_key ?cache_key ~robs ~prof ~trace
-          ~method_:"plan" ~digest:(Some digest) ~frame0 (run_plan ())
+          ~method_:"plan" ~digest:(Some digest) ~frame0 run_plan
       in
       match plan_cache_key p with
       | None ->
@@ -949,48 +956,13 @@ let response_of_result = function
   | W_plan (Error msg) | W_replan (Error msg) | W_observe (Error msg) ->
       Protocol.Error (Protocol.Plan_failed msg)
 
-(* Turn the entry's worker-side stage samples into spans on one sampled
-   waiter's chain: every shard span hangs off the cache-lookup span,
-   the replay continues from the last-stopping shard (the barrier the
-   sequential replay actually waited on), then render. *)
+(* Continue one sampled waiter's chain, from its cache-lookup span,
+   with the entry's worker-side stage spans: plan, then render. *)
 let graft_worker_spans o entry h =
-  match entry.prof with
-  | None -> ()
-  | Some prof ->
-      let samples = Prof.samples prof in
-      let fork = Rt.tail h in
-      let last_stop = ref neg_infinity and last_id = ref fork in
-      List.iter
-        (fun (s : Prof.sample) ->
-          if s.Prof.ps_stage = "shard" then begin
-            let sid =
-              Rt.add_span o.o_traces h ~parent:fork
-                ~kind:(Rt.Stage Rt.Shard_plan) ~node:s.Prof.ps_shard
-                ~start:s.Prof.ps_start ~stop:s.Prof.ps_stop
-            in
-            if s.Prof.ps_stop >= !last_stop then begin
-              last_stop := s.Prof.ps_stop;
-              last_id := sid
-            end
-          end)
-        samples;
-      let tail = ref !last_id in
-      List.iter
-        (fun (s : Prof.sample) ->
-          let kind =
-            match s.Prof.ps_stage with
-            | "replay" -> Some (Rt.Stage Rt.Replay)
-            | "render" -> Some (Rt.Stage Rt.Render_reply)
-            | _ -> None
-          in
-          Option.iter
-            (fun kind ->
-              tail :=
-                Rt.add_span o.o_traces h ~parent:!tail ~kind ~node:(-1)
-                  ~start:s.Prof.ps_start ~stop:s.Prof.ps_stop)
-            kind)
-        samples;
-      Rt.set_tail h !tail
+  Option.iter
+    (fun prof ->
+      Rt.set_tail h (Prof.graft prof o.o_traces h ~parent:(Rt.tail h)))
+    entry.prof
 
 (* Answer every resolved in-flight entry; cache plan answers; apply
    replan invalidations. *)
@@ -1063,7 +1035,7 @@ let reap t =
               log_access o ~now:t1 ~trace:w.w_trace ~method_:w.w_method
                 ~digest:w.w_digest
                 ~cache:(if w.w_method = "plan" then Some false else None)
-                ~shard_count:(shards t) ~duration:(t1 -. w.w_frame0)
+                ~duration:(t1 -. w.w_frame0)
                 ~status:(if is_error then "error" else "ok"))
         (List.rev entry.waiters))
     (List.rev resolved)
@@ -1300,32 +1272,22 @@ let should_drain t =
      | Some m -> t.dispatched >= m
      | None -> false
 
-let install_signal_handlers t =
-  let handler _ =
-    Atomic.set stop_requested true;
-    (* Poke the select from the signal context; a failed write only
-       delays the drain until the next wakeup. *)
-    try wake t with _ -> ()
-  in
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle handler)
-   with Invalid_argument _ | Sys_error _ -> ());
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle handler)
-   with Invalid_argument _ | Sys_error _ -> ());
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  with Invalid_argument _ | Sys_error _ -> ()
-
 let serve t =
-  install_signal_handlers t;
   Logs.info (fun m ->
-      m "serve: listening on %s (%d worker domain(s), %d shard(s))"
+      m "serve: listening on %s (%d worker domain(s))"
         (address_to_string t.config.address)
-        (Domain_pool.size t.pool) (shards t));
+        (Domain_pool.size t.pool));
   let accepting = ref true in
+  (* Fold the stop flag in right before the exit test.  A handler that
+     runs while the loop is between its test and [select] pokes the
+     pipe, and that byte wakes the select; but once a round has drained
+     the byte, nothing else will come — a round that went on to block
+     without re-reading the flag would sleep forever. *)
   let finished () =
+    if Atomic.get stop_requested then t.draining <- true;
     should_drain t && t.inflight = []
   in
   while not (finished ()) do
-    if Atomic.get stop_requested then t.draining <- true;
     if should_drain t && !accepting then begin
       accepting := false;
       Logs.info (fun m -> m "serve: draining (%d in flight)" (List.length t.inflight));

@@ -75,7 +75,6 @@ type config = {
   address : address;
   workers : int option;
       (** Worker domains; default [Domain.recommended_domain_count - 1]. *)
-  shards : int option;  (** Planner shards; default = worker count. *)
   cache_capacity : int;  (** Plan cache entries (LRU). *)
   max_requests : int option;
       (** Drain and exit after this many dispatched requests — lets
@@ -90,8 +89,8 @@ type config = {
 }
 
 val default_config : address -> config
-(** Defaults: pool-sized workers and shards, 128 cache entries, no
-    request bound, private registry, observability off. *)
+(** Defaults: pool-sized workers, 128 cache entries, no request bound,
+    private registry, observability off. *)
 
 val run : config -> unit
 (** Bind, serve, block until drained (SIGINT/SIGTERM or
@@ -102,8 +101,10 @@ val run : config -> unit
 type t
 
 val create : config -> t
-(** Bind the listener and spawn the worker pool without serving yet.
-    Raises [Unix.Unix_error] when the address cannot be bound,
+(** Install the SIGINT/SIGTERM drain handlers, spawn the worker pool
+    and bind the listener, without serving yet.  A signal that arrives
+    from here on drains the server once {!serve} runs.  Raises
+    [Unix.Unix_error] when the address cannot be bound,
     [Invalid_argument] on an invalid [obs] rule set. *)
 
 val registry : t -> Adept_obs.Registry.t

@@ -1,25 +1,16 @@
 (* Tests for the planning service: JSON and protocol codec fixpoints,
-   wire framing, the domain pool, the plan cache, sharded-planning
-   equivalence, and a live server driven over a Unix socket — including
-   the golden session transcript and the robustness cases (malformed
-   frame, oversized prefix, unknown method, mid-request disconnect). *)
+   wire framing, the domain pool, the plan cache, and a live server
+   driven over a Unix socket — including the golden session transcript
+   and the robustness cases (malformed frame, oversized prefix, unknown
+   method, mid-request disconnect). *)
 
 module Json = Adept_serve.Json
 module Wire = Adept_serve.Wire
 module Proto = Adept_serve.Protocol
 module Pool = Adept_serve.Domain_pool
-module Shard = Adept_serve.Shard
 module Cache = Adept_serve.Cache
 module Server = Adept_serve.Server
 module Client = Adept_serve.Client
-module Planner = Adept.Planner
-module Demand = Adept_model.Demand
-module Generator = Adept_platform.Generator
-module Tree = Adept_hierarchy.Tree
-module Rng = Adept_util.Rng
-
-let params = Adept_model.Params.diet_lyon
-let dgemm n = Adept_workload.Dgemm.(mflops (make n))
 
 (* ---------- JSON ---------- *)
 
@@ -195,7 +186,6 @@ let sample_stats =
     cache_invalidations = 1;
     coalesced = 4;
     workers = 1;
-    shards = 2;
     live = None;
   }
 
@@ -513,17 +503,6 @@ let test_pool_submit_await () =
     futures;
   Pool.shutdown pool
 
-let test_pool_nested_helping () =
-  (* one worker: awaiting subtasks inside a task must help, not deadlock *)
-  let pool = Pool.create ~workers:1 () in
-  let f =
-    Pool.submit pool (fun () ->
-        let subs = List.init 4 (fun i -> Pool.submit pool (fun () -> i * 10)) in
-        List.fold_left (fun acc s -> acc + Pool.await s) 0 subs)
-  in
-  Alcotest.(check int) "nested sum" 60 (Pool.await f);
-  Pool.shutdown pool
-
 let test_pool_exception_propagates () =
   let pool = Pool.create ~workers:1 () in
   let f = Pool.submit pool (fun () -> failwith "boom") in
@@ -646,74 +625,6 @@ let test_cache_invalidate_platform () =
     (Cache.find c ~digest:"x" ~strategy:"h" ~wapp:1.0 ~demand:None = None);
   Alcotest.(check int) "nothing to drop twice" 0 (Cache.invalidate_platform c ~digest:"x")
 
-(* ---------- sharded-planning equivalence ---------- *)
-
-let plans_identical (a : Planner.plan) (b : Planner.plan) =
-  Tree.equal a.Planner.tree b.Planner.tree
-  && a.Planner.predicted_rho = b.Planner.predicted_rho
-  && a.Planner.demand_met = b.Planner.demand_met
-  && a.Planner.nodes_used = b.Planner.nodes_used
-  && a.Planner.evaluations = b.Planner.evaluations
-
-let prop_shard_equivalence pool =
-  (* the service's load-bearing invariant: for any platform family,
-     demand regime and shard count, the sharded plan is bit-identical to
-     the sequential heuristic — same tree, same rho float, same probe
-     count.  Speculation may miss; it must never change a decision. *)
-  QCheck.Test.make ~count:25
-    ~name:"sharded plan bit-identical to sequential heuristic"
-    QCheck.(triple (int_range 0 10_000) (int_range 2 160) (int_range 1 4))
-    (fun (seed, n, shards) ->
-      let rng = Rng.create seed in
-      let platform =
-        match seed mod 3 with
-        | 0 ->
-            Generator.uniform_heterogeneous ~bandwidth:1000.0 ~rng ~n
-              ~power_min:100.0 ~power_max:1000.0 ()
-        | 1 -> Generator.grid5000_orsay ~rng ~n ()
-        | _ -> Generator.homogeneous ~bandwidth:1000.0 ~n ~power:730.0 ()
-      in
-      let wapp = dgemm (100 + (seed mod 900)) in
-      let demand =
-        if seed mod 4 = 0 then Demand.rate (float_of_int ((seed mod 400) + 50))
-        else Demand.unbounded
-      in
-      let sequential = Planner.run Planner.Heuristic params ~platform ~wapp ~demand in
-      let sharded, _diag = Shard.plan ~shards ~pool params ~platform ~wapp ~demand in
-      match (sequential, sharded) with
-      | Ok a, Ok b -> plans_identical a b
-      | Error a, Error b -> a = b
-      | Ok _, Error _ | Error _, Ok _ -> false)
-
-let test_shard_equivalence () =
-  let pool = Pool.create ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () -> QCheck.Test.check_exn (prop_shard_equivalence pool))
-
-let test_shard_diag () =
-  let pool = Pool.create ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let platform = Generator.homogeneous ~bandwidth:1000.0 ~n:100 ~power:730.0 () in
-      let result, diag =
-        Shard.plan ~shards:4 ~pool params ~platform ~wapp:(dgemm 310)
-          ~demand:Demand.unbounded
-      in
-      (match result with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail (Adept.Error.to_string e));
-      Alcotest.(check int) "all four shards used" 4 diag.Shard.shards_used;
-      Alcotest.(check bool) "hint from shard plans" true (diag.Shard.hint > 0.0);
-      (* a tiny platform cannot shard: sequential fallback *)
-      let small = Generator.homogeneous ~bandwidth:1000.0 ~n:3 ~power:730.0 () in
-      let _, diag =
-        Shard.plan ~shards:4 ~pool params ~platform:small ~wapp:(dgemm 310)
-          ~demand:Demand.unbounded
-      in
-      Alcotest.(check int) "fallback reports one shard" 1 diag.Shard.shards_used)
-
 (* ---------- live server ---------- *)
 
 let temp_socket_path () =
@@ -726,7 +637,7 @@ let temp_socket_path () =
    an option on OCaml 5.1: with worker domains live, two systhreads of
    domain 0 parked in blocking sections (the serve loop's select plus
    the client's read) deadlock the runtime's stop-the-world handshake.
-   Nor is [Unix.fork] — the pool and shard suites spawn domains first,
+   Nor is [Unix.fork] — the pool suites spawn domains first,
    and fork is forbidden once any domain was ever created.  So the test
    binary re-execs ITSELF via posix_spawn ([Unix.create_process_env]):
    when [server_socket_var] is set it becomes the server (see the hook
@@ -735,9 +646,8 @@ let temp_socket_path () =
    graceful shutdown. *)
 let server_socket_var = "ADEPT_SERVE_TEST_SOCKET"
 
-(* When set, the child serves with observability on (value = shard
-   count, so the traced suites can exercise the sharded stage spans).
-   The golden-transcript child never sets it: the golden bytes pin the
+(* When set, the child serves with observability on.  The
+   golden-transcript child never sets it: the golden bytes pin the
    obs-off path. *)
 let server_obs_var = "ADEPT_SERVE_TEST_OBS"
 let server_access_var = "ADEPT_SERVE_TEST_ACCESS_LOG"
@@ -757,37 +667,27 @@ let run_as_server_child path =
          | Some server -> Server.stop server
          | None -> early_stop := true));
   let addr = Server.Unix_socket path in
-  let obs, shards =
-    match Sys.getenv_opt server_obs_var with
-    | None -> (None, 1)
-    | Some v ->
-        let shards =
-          match int_of_string_opt v with Some n when n > 0 -> n | _ -> 1
-        in
-        ( Some
-            {
-              (Server.default_obs ()) with
-              Server.scrape_interval = 0.05;
-              trace_slowest = 8;
-              access_log = Sys.getenv_opt server_access_var;
-              prom_path = Sys.getenv_opt server_prom_var;
-              journal_dir = Sys.getenv_opt server_journal_var;
-              otlp =
-                Option.map
-                  (fun s -> Server.Otlp_file s)
-                  (Sys.getenv_opt server_otlp_var);
-            },
-          shards )
+  let obs =
+    Option.map
+      (fun _ ->
+        {
+          (Server.default_obs ()) with
+          Server.scrape_interval = 0.05;
+          trace_slowest = 8;
+          access_log = Sys.getenv_opt server_access_var;
+          prom_path = Sys.getenv_opt server_prom_var;
+          journal_dir = Sys.getenv_opt server_journal_var;
+          otlp =
+            Option.map
+              (fun s -> Server.Otlp_file s)
+              (Sys.getenv_opt server_otlp_var);
+        })
+      (Sys.getenv_opt server_obs_var)
   in
   let config =
-    (* one worker, one shard: counters and replies must not depend on
-       the machine's core count (the transcript is golden) *)
-    {
-      (Server.default_config addr) with
-      Server.workers = Some 1;
-      shards = Some shards;
-      obs;
-    }
+    (* one worker: counters and replies must not depend on the
+       machine's core count (the transcript is golden) *)
+    { (Server.default_config addr) with Server.workers = Some 1; obs }
   in
   exit
     (try
@@ -959,7 +859,7 @@ let test_session_semantics () =
         && s.Proto.errors = 2 && s.Proto.cache_hits = 1
         && s.Proto.cache_misses = 2 && s.Proto.cache_evictions = 0
         && s.Proto.cache_invalidations = 1 && s.Proto.coalesced = 0
-        && s.Proto.workers = 1 && s.Proto.shards = 1)
+        && s.Proto.workers = 1)
   | _ -> Alcotest.fail "expected Stats_ok"
 
 let read_golden name =
@@ -1132,7 +1032,7 @@ let test_trace_dump_spans () =
         | Ok c -> c
         | Error e -> Alcotest.fail e
       in
-      (* a cold sharded plan, a cache hit, then the dump *)
+      (* a cold plan, a cache hit, then the dump *)
       (match Client.call c plan_syn8 with
       | Ok (Proto.Plan_ok p) ->
           Alcotest.(check bool) "cold" false p.cached
@@ -1151,9 +1051,10 @@ let test_trace_dump_spans () =
                 (contains chrome ("\"" ^ span ^ "\"")))
             [
               "serve.frame_read"; "serve.parse"; "serve.cache_lookup";
-              "serve.shard_plan"; "serve.replay"; "serve.render";
-              "serve.write";
-            ]
+              "serve.plan"; "serve.render"; "serve.write";
+            ];
+          Alcotest.(check bool) "no retired shard spans" false
+            (contains chrome "serve.shard_plan")
       | Ok _ -> Alcotest.fail "expected Trace_ok"
       | Error e -> Alcotest.fail e);
       (* live stats report the sampled traces *)
@@ -1347,21 +1248,19 @@ let test_prof_samples () =
   in
   let p = Prof.create ~now in
   Alcotest.(check int) "None is a free no-op" 3
-    (Prof.time None ~stage:"x" (fun () -> 3));
+    (Prof.time None ~stage:Rt.Parse (fun () -> 3));
   Alcotest.(check int) "result passes through" 7
-    (Prof.time (Some p) ~stage:"shard" ~shard:2 (fun () -> 7));
-  (match Prof.time (Some p) ~stage:"replay" (fun () -> failwith "boom") with
+    (Prof.time (Some p) ~stage:Rt.Plan (fun () -> 7));
+  (match Prof.time (Some p) ~stage:Rt.Render_reply (fun () -> failwith "boom") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "the thunk's exception must propagate");
   match Prof.samples p with
   | [ s1; s2 ] ->
-      Alcotest.(check string) "stage 1" "shard" s1.Prof.ps_stage;
-      Alcotest.(check int) "shard index" 2 s1.Prof.ps_shard;
+      Alcotest.(check bool) "stage 1" true (s1.Prof.ps_stage = Rt.Plan);
       Alcotest.(check (float 0.0)) "start 1" 0.0 s1.Prof.ps_start;
       Alcotest.(check (float 0.0)) "stop 1" 1.0 s1.Prof.ps_stop;
-      Alcotest.(check string) "stage 2 recorded despite the raise" "replay"
-        s2.Prof.ps_stage;
-      Alcotest.(check int) "no shard" (-1) s2.Prof.ps_shard
+      Alcotest.(check bool) "stage 2 recorded despite the raise" true
+        (s2.Prof.ps_stage = Rt.Render_reply)
   | l -> Alcotest.fail (Printf.sprintf "expected 2 samples, got %d" (List.length l))
 
 let test_cache_eviction_age () =
@@ -1568,7 +1467,6 @@ let sample_records =
         m_scrape_interval = 0.25;
         m_retention = 300.0;
         m_workers = 2;
-        m_shards = 4;
       };
     Journal.Begin_request { b_at = 1.5; b_trace = 42; b_sampled = true };
     Journal.Begin_request { b_at = 1.6; b_trace = 43; b_sampled = false };
@@ -1754,7 +1652,7 @@ let test_otlp_shape () =
           ~node:(-1) ~start:1.0 ~stop:1.1
       in
       ignore
-        (Rt.add_span store h ~parent:p ~kind:(Rt.Stage Rt.Shard_plan) ~node:2
+        (Rt.add_span store h ~parent:p ~kind:(Rt.Stage Rt.Plan) ~node:(-1)
            ~start:1.1 ~stop:1.4);
       Rt.finish store h ~now:1.5);
   let reg = Obs.Registry.create () in
@@ -1829,7 +1727,6 @@ let test_replay_bit_identical () =
                 m_scrape_interval = 1.0;
                 m_retention = 300.0;
                 m_workers = 1;
-                m_shards = 1;
               }));
       let run_request i =
         let id = 100 + i in
@@ -1848,8 +1745,8 @@ let test_replay_bit_identical () =
                 ~node:(-1) ~start:issued ~stop:(issued +. 0.01)
             in
             ignore
-              (Rt.add_span store h ~parent:p ~kind:(Rt.Stage Rt.Shard_plan)
-                 ~node:(i mod 3) ~start:(issued +. 0.01)
+              (Rt.add_span store h ~parent:p ~kind:(Rt.Stage Rt.Plan)
+                 ~node:(-1) ~start:(issued +. 0.01)
                  ~stop:(issued +. dur));
             let spans_n = Rt.span_count h in
             ignore spans_n;
@@ -2013,6 +1910,167 @@ let test_replay_matches_live_server () =
       Alcotest.(check bool) "replayed access log has the plan lines" true
         (contains full.Obs.Replay.rp_access "\"method\":\"plan\""))
 
+(* ---------- span kind byte codes ---------- *)
+
+let serve_stages = Rt.[ Frame_read; Parse; Cache_lookup; Plan; Render_reply; Write_reply ]
+
+let test_kind_codes_exhaustive () =
+  let kinds =
+    List.concat_map
+      (fun m -> Rt.[ Send m; Wire m; Recv m ])
+      Rt.[ Submit; Forward; Reply; Answer; Service_request; Service_reply ]
+    @ List.map (fun s -> Rt.Compute s) Rt.[ Wreq; Wrep; Wpre; Service ]
+    @ List.map (fun s -> Rt.Stage s) serve_stages
+  in
+  let codes = List.map Rt.kind_code kinds in
+  for byte = -1 to 256 do
+    let expected = List.assoc_opt byte (List.combine codes kinds) in
+    Alcotest.(check bool) (Printf.sprintf "code %d" byte) true
+      (Rt.kind_of_code byte = expected)
+  done;
+  (* codes persist in journals: older servers' stages keep theirs, and
+     the retired stage's 0x43 stays unassigned *)
+  Alcotest.(check (list int)) "serving-stage codes are stable"
+    [ 0x40; 0x41; 0x42; 0x44; 0x45; 0x46 ]
+    (List.map (fun s -> Rt.kind_code (Rt.Stage s)) serve_stages)
+
+(* IEEE CRC32, bit by bit — to forge a checksum-valid journal frame. *)
+let crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let test_retired_span_kind_skipped () =
+  (* A whole Finish record whose span carries the retired stage code
+     0x43, as journals of the sharded planner held, is skipped and
+     counted — never relabelled as another stage. *)
+  let span = { (sample_span 0) with Rt.sp_kind = Rt.Stage Rt.Plan } in
+  let payload =
+    Bytes.of_string
+      (Journal.encode
+         (Journal.Finish
+            { f_at = 2.0; f_trace = 42; f_issued = 1.0; f_conn = 1;
+              f_spans = Some [| span |]; f_dropped_spans = 0 }))
+  in
+  (* tag, five 8-byte fields, spans flag, count, span id, parent *)
+  let kind_at = 1 + (5 * 8) + 1 + (3 * 8) in
+  Alcotest.(check char) "span kind byte located" '\x44' (Bytes.get payload kind_at);
+  Bytes.set payload kind_at '\x43';
+  let payload = Bytes.to_string payload in
+  Alcotest.(check bool) "decode refuses it" true (Journal.decode payload = None);
+  with_temp_dir (fun dir ->
+      let seg = Buffer.create 64 in
+      Buffer.add_string seg "ADJ1";
+      List.iter
+        (fun p ->
+          Buffer.add_int32_le seg (Int32.of_int (String.length p));
+          Buffer.add_int32_le seg (Int32.of_int (crc32 p));
+          Buffer.add_string seg p)
+        [ Journal.encode (List.hd sample_records); payload ];
+      Out_channel.with_open_bin (Filename.concat dir "seg-000001.adj") (fun oc ->
+          Buffer.output_buffer oc seg);
+      match Journal.open_ dir with
+      | Error e -> Alcotest.fail e
+      | Ok rd ->
+          let s = Journal.stats rd in
+          Alcotest.(check (list int)) "records kept, skipped, torn" [ 1; 1; 0 ]
+            [ List.length (Journal.records rd); s.Journal.r_skipped;
+              s.Journal.r_truncated ])
+
+(* ---------- decoder fuzzing ---------- *)
+
+(* Arbitrary bytes, or a valid request/reply payload after a few random
+   byte flips, deletions, insertions and truncations — mutants reach
+   far deeper into the decoders than noise, which fails at byte one. *)
+let gen_fuzz_payload =
+  let open QCheck.Gen in
+  let seeds =
+    List.map Proto.encode_request sample_envelopes
+    @ List.map Proto.encode_reply sample_replies
+  in
+  let edit s =
+    let n = String.length s in
+    int_bound n >>= fun i ->
+    let pre = String.sub s 0 i and post = String.sub s i (n - i) in
+    let tail = if n > i then String.sub post 1 (n - i - 1) else "" in
+    oneof
+      [
+        map (fun c -> pre ^ String.make 1 c ^ tail) char;
+        return (pre ^ tail);
+        map (fun ins -> pre ^ ins ^ post) (string_size ~gen:char (1 -- 4));
+        return pre;
+      ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  frequency
+    [
+      (1, string_size ~gen:char (0 -- 96));
+      (3, pair (oneofl seeds) (1 -- 4) >>= fun (s, k) -> edits k s);
+    ]
+
+let never_raises name decode =
+  QCheck.Test.make ~count:2000 ~name (QCheck.make ~print:String.escaped gen_fuzz_payload)
+    (fun s ->
+      match decode s with
+      | () -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* Valid frames then noise (or noise first), fed in random chunks:
+   [Wire.step] never raises, and frames ahead of the noise come back
+   intact whatever the chunking. *)
+let prop_wire_fuzz =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (0 -- 4) gen_fuzz_payload)
+        (string_size ~gen:char (0 -- 64))
+        (list_size (0 -- 12) (1 -- 48))
+        bool)
+  in
+  QCheck.Test.make ~count:1000 ~name:"Wire.feed/step on any chunking" (QCheck.make gen)
+    (fun (payloads, noise, cuts, noise_first) ->
+      let framed = String.concat "" (List.map Wire.encode payloads) in
+      let stream = if noise_first then noise ^ framed else framed ^ noise in
+      let r = Wire.reader () and got = ref [] and closed = ref false in
+      let rec drain () =
+        match Wire.step r with
+        | Wire.Frame p -> got := p :: !got; drain ()
+        | Wire.Need_more -> ()
+        | Wire.Oversized _ -> closed := true
+      in
+      let rec feed pos cuts =
+        let left = String.length stream - pos in
+        if left > 0 && not !closed then begin
+          let n = match cuts with c :: _ -> min c left | [] -> left in
+          Wire.feed r stream pos n;
+          drain ();
+          feed (pos + n) (match cuts with _ :: rest -> rest | [] -> [])
+        end
+      in
+      (try feed 0 cuts
+       with e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e));
+      noise_first
+      || List.filteri (fun i _ -> i < List.length payloads) (List.rev !got) = payloads)
+
+let fuzz_cases =
+  List.map
+    (fun (name, prop) ->
+      Alcotest.test_case name `Quick (fun () -> QCheck.Test.check_exn prop))
+    [
+      ("json", never_raises "Json.of_string" (fun s -> ignore (Json.of_string s)));
+      ( "decode_request",
+        never_raises "Protocol.decode_request" (fun s -> ignore (Proto.decode_request s)) );
+      ( "decode_reply",
+        never_raises "Protocol.decode_reply" (fun s -> ignore (Proto.decode_reply s)) );
+      ("wire chunkings", prop_wire_fuzz);
+    ]
+
 (* Regenerate the golden transcript instead of running the suite:
    SERVE_GOLDEN_OUT=/path/to/serve_session.jsonl ./test_serve.exe *)
 let () =
@@ -2070,7 +2128,6 @@ let () =
       ( "domain-pool",
         [
           Alcotest.test_case "submit/await" `Quick test_pool_submit_await;
-          Alcotest.test_case "nested await helps" `Quick test_pool_nested_helping;
           Alcotest.test_case "exceptions propagate" `Quick test_pool_exception_propagates;
           Alcotest.test_case "on_resolve fires after resolution" `Quick
             test_pool_on_resolve_after_resolution;
@@ -2082,11 +2139,6 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "replace same key" `Quick test_cache_replace_same_key;
           Alcotest.test_case "platform invalidation" `Quick test_cache_invalidate_platform;
-        ] );
-      ( "shard",
-        [
-          Alcotest.test_case "bit-identical to sequential" `Slow test_shard_equivalence;
-          Alcotest.test_case "diagnostics" `Quick test_shard_diag;
         ] );
       ( "server",
         [
@@ -2135,5 +2187,10 @@ let () =
             `Quick test_recorder_byte_identical;
           Alcotest.test_case "replay matches the live server" `Quick
             test_replay_matches_live_server;
+          Alcotest.test_case "span kind codes are exhaustive" `Quick
+            test_kind_codes_exhaustive;
+          Alcotest.test_case "retired span kind is skipped and counted" `Quick
+            test_retired_span_kind_skipped;
         ] );
+      ("fuzz", fuzz_cases);
     ]
