@@ -139,6 +139,20 @@ let bench_plan_2000 =
            (Adept.Heuristic.plan params ~platform ~wapp:(dgemm 310)
               ~demand:Demand.unbounded)))
 
+let bench_plan_2000_uniform =
+  (* the class memo's worst case: uniformly drawn powers give every node
+     its own power class, so no server scan stays inside a class and each
+     one steps node by node *)
+  let platform =
+    Adept_platform.Generator.uniform_heterogeneous ~bandwidth:1000.0
+      ~rng:(Adept_util.Rng.create 1) ~n:2000 ~power_min:100.0 ~power_max:1000.0 ()
+  in
+  Bechamel.Test.make ~name:"scale/plan-2000-nodes-uniform"
+    (Bechamel.Staged.stage (fun () ->
+         ignore
+           (Adept.Heuristic.plan params ~platform ~wapp:(dgemm 310)
+              ~demand:Demand.unbounded)))
+
 let bench_plan_100k =
   (* the pooled planner's headline: Algorithm 1 on 100 000 nodes.  The
      node pool's prefix sums and capacity classes keep each bisection
@@ -949,7 +963,7 @@ let run_micro () =
         bench_table3; bench_fig2_3; bench_fig4_5; bench_table4; bench_fig6;
         bench_fig7; bench_fault_sweep; bench_self_heal; bench_rollout;
         bench_traced;
-        bench_scrape; bench_plan_2000; bench_window_ring; bench_window_naive;
+        bench_scrape; bench_plan_2000; bench_plan_2000_uniform; bench_window_ring; bench_window_naive;
         bench_event_queue; bench_xml;
         bench_plan_100k; bench_replan_incremental; bench_replan_full;
         bench_serve_plan_cold; bench_serve_plan_cached;

@@ -54,7 +54,7 @@ let lighten_slack = 4.0
    same first candidate a linear scan would), and a swap only exchanges
    the occupants of two positions — the degrees attached to agent
    positions never change. *)
-let lighten_agents params ~bandwidth ~target tree =
+let lighten_by_search params ~bandwidth ~target tree =
   let fuel = Tree.size tree in
   let cmp_agent (a, _) (b, _) = Node.compare_by_power_desc a b in
   let cmp_server a b = Node.compare_by_power_desc b a in
@@ -148,6 +148,30 @@ let lighten_agents params ~bandwidth ~target tree =
     in
     rewrite tree
 
+let lighten_agents params ~bandwidth ~target tree =
+  (* No-swap certificate, O(A + S) and sort-free: a swap needs some
+     server to clear [lighten_slack *. target] at some agent's degree.
+     Agent scheduling power is FP-monotone non-decreasing in power and
+     non-increasing in degree, so no server can when even the strongest
+     server fails at the smallest agent degree — and the tree comes back
+     unchanged, exactly as [lighten_by_search] would return it. *)
+  let max_server = ref Float.neg_infinity and min_degree = ref max_int in
+  let rec scan = function
+    | Tree.Server n -> if Node.power n > !max_server then max_server := Node.power n
+    | Tree.Agent (_, children) ->
+        min_degree := min !min_degree (List.length children);
+        List.iter scan children
+  in
+  scan tree;
+  if
+    !max_server = Float.neg_infinity
+    || !min_degree >= 1
+       && Adept_model.Throughput.agent_sched params ~bandwidth ~power:!max_server
+            ~degree:!min_degree
+          < lighten_slack *. target
+  then tree
+  else lighten_by_search params ~bandwidth ~target tree
+
 (* Round-robin children into open slots (frontier remainder + new agents),
    never exceeding an agent's capacity. *)
 let distribute ~slots children =
@@ -171,9 +195,16 @@ let distribute ~slots children =
 
 (* Reusable per-plan scratch: the capacity memo is sized by the pool's
    class count once and re-blanked per probe with [Array.fill] — the
-   bisection runs ~40 probes per plan, and re-allocating (and collecting)
-   a class-indexed array on every probe showed up at 100k nodes. *)
-let scratch_for pool = Array.make (max 1 (Node_pool.class_count pool)) (-1)
+   bisection runs ~31 probes per plan, and re-allocating (and collecting)
+   a class-indexed array on every probe showed up at 100k nodes.  The
+   server-scan memo re-blanks itself whenever the target changes. *)
+type scratch = { caps : int array; memo : Node_pool.memo }
+
+let scratch_for pool =
+  {
+    caps = Array.make (max 1 (Node_pool.class_count pool)) (-1);
+    memo = Node_pool.memo pool;
+  }
 
 let build ?scratch params pool ~target =
   let n = Node_pool.size pool in
@@ -182,11 +213,11 @@ let build ?scratch params pool ~target =
   (* Capacity depends on a node only through its power: memoize per
      power class (the generators produce a handful of discrete levels,
      so this collapses the per-node capacity scans of the reference). *)
-  let cap_cache =
+  let { caps = cap_cache; memo } =
     match scratch with
-    | Some arr ->
-        Array.fill arr 0 (Array.length arr) (-1);
-        arr
+    | Some s ->
+        Array.fill s.caps 0 (Array.length s.caps) (-1);
+        s
     | None -> scratch_for pool
   in
   let cap_at i =
@@ -205,7 +236,7 @@ let build ?scratch params pool ~target =
   let usable = Node_pool.usable_until pool ~target in
   let root_cap = cap_at 0 in
   if root_cap < 1 then None
-  else if not (Node_pool.feasible pool ~target ~usable) then
+  else if not (Node_pool.feasible pool memo ~target ~usable) then
     (* No usable prefix from any start index reaches the target service
        power, so every [min_servers] the level build could issue fails
        and the build bottoms out at [None] — skip the whole cascade. *)
@@ -233,7 +264,7 @@ let build ?scratch params pool ~target =
               let deep = if j = 0 then 0 else deep + last_cap in
               let direct = slots - j in
               match
-                Node_pool.min_servers pool ~target ~usable ~from:(q + j)
+                Node_pool.min_servers pool memo ~target ~usable ~from:(q + j)
                   ~cap:(direct + deep)
               with
               | Node_pool.Servers count
@@ -314,7 +345,7 @@ let build_for_target params ~platform ~wapp ~target =
   if Node_pool.size pool < 2 then None else build params pool ~target
 
 (* One probe against a prepared pool, as a standalone entry point
-   (per-probe timing); allocates its own capacity scratch. *)
+   (per-probe timing); allocates its own scratch (capacity and scan memos). *)
 let probe params pool ~target = build params pool ~target
 
 let pool_of params ~platform ~wapp =

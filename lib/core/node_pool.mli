@@ -14,7 +14,12 @@
       [hi_service] bound is an O(1) lookup with bit-identical rounding;
     - power classes: runs of equal-power nodes, bucketing the platforms
       the generators actually produce (a handful of discrete load
-      levels), so capacity lookups memoize per class instead of per node.
+      levels), so capacity lookups memoize per class instead of per node;
+    - the server-scan terms: each node's [power / wapp], the Eq. 15
+      numerator after [k] servers (a function of [k] alone), and the
+      in-class running sums of [power / wapp] from each class's first
+      node, which a {!memo} turns into per-class answers (see
+      {!min_servers}).
 
     Every accelerated query is {e decision-identical} to the reference
     scan it replaces: the same floats reach the same comparisons (see the
@@ -78,15 +83,35 @@ type scan =
   | Overflow  (** The prefix outgrew [cap] before reaching [target]. *)
   | Infeasible  (** Even every usable node from [from] falls short. *)
 
-val min_servers :
-  t -> target:float -> usable:int -> from:int -> cap:int -> scan
-(** The reference [min_servers] with two decision-identical shortcuts:
-    the scan stops at the [usable] boundary (pass [usable_until]'s
-    result) and bails out as [Overflow] once more than [cap] servers
-    have been taken — callers reject longer-than-[cap] answers and
-    [Infeasible] identically, so the early exit changes no decision. *)
+type memo
+(** Per-plan scratch of {!min_servers}: for each power class, the first
+    count at which a scan inside that class reaches the budget, filled in
+    lazily.  Its entries depend on the budget [1/target - comm] alone and
+    are dropped whenever a call brings a different one, so one memo can
+    serve every probe of a plan (and any call sequence) without changing
+    an answer. *)
 
-val feasible : t -> target:float -> usable:int -> bool
+val memo : t -> memo
+(** A blank memo for this pool (sized by [class_count t]; pass it only to
+    queries on the same pool). *)
+
+val min_servers :
+  t -> memo -> target:float -> usable:int -> from:int -> cap:int -> scan
+(** The reference [min_servers] with decision-identical shortcuts:
+    - the scan stops at the [usable] boundary (pass [usable_until]'s
+      result) and bails out as [Overflow] once more than [cap] servers
+      have been taken — callers reject longer-than-[cap] answers and
+      [Infeasible] identically, so the early exit changes no decision;
+    - the stretch of the scan that stays inside the power class of
+      [from] is answered from [memo].  Equal-power nodes add the same
+      float, so a scan from anywhere inside a class holds, at every
+      count, exactly the in-class running sum from the class start, and
+      the Eq. 15 numerator depends on the count alone: the first count
+      meeting the budget is a per-class fact, found once per probe.  A
+      scan that runs on past the class resumes node by node from the
+      memoised sums.  No float is boxed on either path. *)
+
+val feasible : t -> memo -> target:float -> usable:int -> bool
 (** Whether [min_servers ~from:1 ~cap:max_int] would find a prefix — the
     global infeasibility pre-check: when false, every [min_servers] from
     any index fails too (a later scan's usable set is pointwise weaker at

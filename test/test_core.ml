@@ -843,6 +843,76 @@ let test_equivalence_two_node_boundary () =
       Alcotest.(check bool) "validates" true
         (Validate.is_valid ~platform:hetero r.Heuristic.tree)
 
+let test_equivalence_cold_plan_specs () =
+  (* the served cold-plan shape, built the way a request builds it:
+     2,000 nodes over four load levels, so four power classes of ~500
+     nodes and the in-class server-scan memo on every probe *)
+  let cold seed =
+    match
+      Adept_serve.Render.platform_of_spec
+        (Adept_serve.Protocol.Synthetic
+           { nodes = 2000; power = 730.0; bandwidth = 1000.0; heterogeneous = true; seed })
+    with
+    | Ok platform -> platform
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun seed ->
+      check_equivalent
+        ~msg:(Printf.sprintf "cold %d " seed)
+        (cold seed) (dgemm 310) Demand.unbounded)
+    [ 1001; 1002; 1003 ];
+  check_equivalent ~msg:"cold demand " (cold 1004) (dgemm 310) (Demand.rate 900.0)
+
+let strongest_server tree =
+  List.fold_left (fun acc n -> Float.max acc (Node.power n)) Float.neg_infinity
+    (Tree.servers tree)
+
+let test_equivalence_lighten_paths () =
+  (* Agent lightening answers most probes from its no-swap certificate;
+     these platforms keep the search behind it under the oracle. *)
+  let orsay = Generator.grid5000_orsay ~rng:(Rng.create 42) ~n:200 () in
+  check_equivalent ~msg:"swapping " orsay (dgemm 1000) Demand.unbounded;
+  (match Heuristic.plan params ~platform:orsay ~wapp:(dgemm 1000) ~demand:Demand.unbounded with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+      (* only a swap seats an agent below some server: the build draws
+         agents from the strong end of the sorted order *)
+      let tree = r.Heuristic.tree in
+      Alcotest.(check bool) "a lightening swap happened" true
+        (List.exists
+           (fun (a, _) -> Node.power a < strongest_server tree)
+           (Tree.agents_with_degree tree)));
+  (* Equal powers: no server is strictly weaker than an agent, so no
+     swap exists, yet DGEMM 1000's low targets leave the strongest server
+     above 4x (the lightening slack) the target at the smallest degree —
+     the certificate cannot decide and the search runs to "no swap". *)
+  let lyon = Generator.grid5000_lyon ~n:20 () in
+  let wapp = dgemm 1000 in
+  check_equivalent ~msg:"inconclusive " lyon wapp Demand.unbounded;
+  match
+    ( Heuristic.plan params ~platform:lyon ~wapp ~demand:Demand.unbounded,
+      Heuristic.pool_of params ~platform:lyon ~wapp )
+  with
+  | Ok r, Some pool ->
+      let bandwidth = Node_pool.bandwidth pool in
+      let inconclusive (p : Heuristic.probe) =
+        match Heuristic.probe params pool ~target:p.Heuristic.target with
+        | None -> false
+        | Some tree ->
+            let min_degree =
+              List.fold_left (fun acc (_, d) -> min acc d) max_int
+                (Tree.agents_with_degree tree)
+            in
+            Adept_model.Throughput.agent_sched params ~bandwidth
+              ~power:(strongest_server tree) ~degree:min_degree
+            >= 4.0 *. p.Heuristic.target
+      in
+      Alcotest.(check bool) "certificate inconclusive on some probe" true
+        (List.exists inconclusive r.Heuristic.probes)
+  | Error e, _ -> Alcotest.fail e
+  | Ok _, None -> Alcotest.fail "uniform links expected"
+
 (* ---------- incremental replans ---------- *)
 
 let lyon_star_plan n =
@@ -1125,12 +1195,20 @@ let prop_dary_valid_and_spanning =
 let prop_pooled_matches_reference =
   (* the equivalence harness gating the pooled planner: across every
      generator family (smooth heterogeneous, clustered power classes,
-     fully homogeneous) and both demand regimes, [Heuristic] must be
+     fully homogeneous, 1-6 load levels up to 2,000 nodes) and both
+     demand regimes, [Heuristic] must be
      bit-identical to the frozen [Heuristic_reference] oracle — same
      trees, same rho floats, same probe log *)
-  QCheck.Test.make ~count:30
+  QCheck.Test.make ~count:40
     ~name:"pooled heuristic bit-identical to the reference oracle"
-    QCheck.(triple (int_range 0 10_000) (int_range 2 300) (int_range 0 2))
+    (QCheck.make
+       ~print:(fun (seed, n, kind) -> Printf.sprintf "seed=%d n=%d kind=%d" seed n kind)
+       QCheck.Gen.(
+         int_range 0 3 >>= fun kind ->
+         (* the classed kind reaches the cold-plan scale, where classes
+            hold hundreds of nodes and most scans stay inside one *)
+         triple (int_range 0 10_000) (int_range 2 (if kind = 3 then 2000 else 300))
+           (return kind)))
     (fun (seed, n, kind) ->
       let rng = Rng.create seed in
       let platform =
@@ -1139,9 +1217,18 @@ let prop_pooled_matches_reference =
             Generator.uniform_heterogeneous ~bandwidth:1000.0 ~rng ~n
               ~power_min:100.0 ~power_max:1000.0 ()
         | 1 -> Generator.grid5000_orsay ~rng ~n ()
-        | _ -> Generator.homogeneous ~bandwidth:1000.0 ~n ~power:730.0 ()
+        | 2 -> Generator.homogeneous ~bandwidth:1000.0 ~n ~power:730.0 ()
+        | _ ->
+            Generator.background_loaded
+              ~bandwidth:(if seed mod 2 = 0 then 100.0 else 1000.0)
+              ~rng ~n ~power:730.0 ~load_fraction:0.65
+              ~load_levels:(1 + (seed / 7 mod 6))
+              ()
       in
-      let wapp = dgemm (100 + (seed mod 900)) in
+      (* the reference slows sharply with the job size at 2,000 nodes
+         (DGEMM 900 on 100 Mbit/s takes ~11 s), so the classed kind keeps
+         to sizes around the cold-plan benchmark's 310 *)
+      let wapp = dgemm (if kind = 3 then 150 + (seed mod 200) else 100 + (seed mod 900)) in
       let demand =
         if seed mod 3 = 0 then Demand.rate (float_of_int ((seed mod 400) + 50))
         else Demand.unbounded
@@ -1165,6 +1252,76 @@ let prop_pooled_matches_reference =
                f.Heuristic.probes s.Heuristic_reference.probes
       | Error a, Error b -> a = b
       | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* The plain recursive server scan, boxing its floats: the oracle for
+   [Node_pool.min_servers], whose in-class memo and unboxed loop must
+   give exactly its answers. *)
+let naive_min_servers pool ~target ~usable ~from ~cap =
+  let wapp = Node_pool.wapp pool in
+  let server = params.Params.server in
+  let budget =
+    (1.0 /. target) -. ((server.sreq +. server.srep) /. Node_pool.bandwidth pool)
+  in
+  if budget <= 0.0 then Node_pool.Infeasible
+  else
+    let rec scan i sum_rate sum_inv count =
+      let numer = 1.0 +. (server.wpre *. sum_inv) in
+      if sum_rate > 0.0 && numer /. sum_rate <= budget then Node_pool.Servers count
+      else if count > cap then Node_pool.Overflow
+      else if i >= usable then Node_pool.Infeasible
+      else
+        scan (i + 1)
+          (sum_rate +. (Node.power (Node_pool.node pool i) /. wapp))
+          (sum_inv +. (1.0 /. wapp))
+          (count + 1)
+    in
+    scan (max from 0) 0.0 0.0 0
+
+let prop_min_servers_matches_naive_scan =
+  QCheck.Test.make ~count:100 ~name:"Node_pool.min_servers matches the naive scan"
+    QCheck.(triple (int_range 0 10_000) (int_range 1 100) (int_range 1 6))
+    (fun (seed, n, load_levels) ->
+      let rng = Rng.create seed in
+      let bandwidth = if seed mod 2 = 0 then 100.0 else 1000.0 in
+      let platform =
+        Generator.background_loaded ~bandwidth ~rng ~n ~power:730.0 ~load_fraction:0.65
+          ~load_levels ()
+      in
+      let wapp = dgemm (100 + (seed mod 900)) in
+      let pool = Node_pool.create params ~bandwidth ~wapp (Platform.nodes platform) in
+      (* targets on, just inside and just outside the Eq. 15 threshold of
+         prefixes of several lengths, plus one too small and one too
+         large to matter; the first comes back last so the memo is
+         re-blanked and refilled for a budget it has seen before *)
+      let prefix k = List.init k (Node_pool.node pool) in
+      let thresholds =
+        List.concat_map
+          (fun k ->
+            let t = Service_power.of_servers params ~bandwidth ~wapp (prefix k) in
+            [ t; t *. (1.0 -. 1e-12); t *. (1.0 +. 1e-12); t *. 0.99; t *. 1.01 ])
+          (List.sort_uniq compare [ 1; max 1 (n / 3); max 1 (n / 2); n ])
+      in
+      let targets = (thresholds @ [ 1e-6; 1e12 ]) @ [ List.hd thresholds ] in
+      let memo = Node_pool.memo pool in
+      let froms = List.init (n + 3) (fun i -> i - 1) in
+      let caps = [ -1; 0; 1; 2; 3; 1 + (seed mod 7); max_int ] in
+      List.for_all
+        (fun target ->
+          let usables =
+            [ Node_pool.usable_until pool ~target; Rng.int rng (n + 1) ]
+          in
+          List.for_all
+            (fun usable ->
+              List.for_all
+                (fun from ->
+                  List.for_all
+                    (fun cap ->
+                      Node_pool.min_servers pool memo ~target ~usable ~from ~cap
+                      = naive_min_servers pool ~target ~usable ~from ~cap)
+                    caps)
+                froms)
+            usables)
+        targets)
 
 let prop_replan_incremental_within_slack =
   (* an accepted patch is within the configured slack of the
@@ -1337,6 +1494,8 @@ let () =
           Alcotest.test_case "orsay 200" `Quick test_equivalence_orsay;
           Alcotest.test_case "two-node boundary" `Quick
             test_equivalence_two_node_boundary;
+          Alcotest.test_case "cold-plan specs" `Quick test_equivalence_cold_plan_specs;
+          Alcotest.test_case "lightening paths" `Quick test_equivalence_lighten_paths;
         ] );
       ( "replan_incremental",
         [
@@ -1357,6 +1516,7 @@ let () =
             prop_heuristic_bounded_by_oracle;
             prop_dary_valid_and_spanning;
             prop_pooled_matches_reference;
+            prop_min_servers_matches_naive_scan;
             prop_replan_incremental_within_slack;
           ] );
     ]
