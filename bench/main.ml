@@ -447,6 +447,27 @@ let bench_serve_plan_cold =
          | Ok (_text, _rho, _nodes_used) -> ()
          | Error e -> failwith e))
 
+let bench_serve_plan_cold_2000 =
+  (* the cold-plan benchmark workload's request shape: a fresh
+     heterogeneous 2,000-node spec, timed as the worker runs it —
+     platform build + Planner.run + CLI-identical rendering *)
+  let params =
+    {
+      Sproto.spec =
+        Sproto.Synthetic
+          { nodes = 2000; power = 730.0; bandwidth = 1000.0; heterogeneous = true; seed = 1001 };
+      dgemm = 310;
+      demand = None;
+      strategy = "heuristic";
+      use_cache = false;
+    }
+  in
+  Bechamel.Test.make ~name:"serve/plan-cold-2000"
+    (Bechamel.Staged.stage (fun () ->
+         match Srender.plan params with
+         | Ok (_text, _rho, _nodes_used) -> ()
+         | Error e -> failwith e))
+
 let bench_serve_plan_cached =
   (* the same request answered from the plan-fragment cache: lookup plus
      reply encoding — the fast path a warm server serves at rate *)
@@ -966,7 +987,7 @@ let run_micro () =
         bench_scrape; bench_plan_2000; bench_plan_2000_uniform; bench_window_ring; bench_window_naive;
         bench_event_queue; bench_xml;
         bench_plan_100k; bench_replan_incremental; bench_replan_full;
-        bench_serve_plan_cold; bench_serve_plan_cached;
+        bench_serve_plan_cold; bench_serve_plan_cold_2000; bench_serve_plan_cached;
         bench_serve_plan_traced; bench_serve_plan_recorded;
         bench_journal_append;
       ]

@@ -19,8 +19,60 @@ let spec_of_tree ~wapp tree =
   if servers = [] then invalid_arg "Evaluate.spec_of_tree: hierarchy has no servers";
   { Throughput.agents; servers }
 
+(* Eq. 16 accumulators for {!rho}: an all-float record is stored flat,
+   so updating a field boxes nothing. *)
+type sums = {
+  mutable agent_min : float;
+  mutable server_min : float;
+  mutable ratio_sum : float;
+  mutable rate_sum : float;
+}
+
+(* [Throughput.platform] over [spec_of_tree], in one pre-order walk that
+   builds no spec lists.  Each accumulator folds the same terms in the
+   same order as the list-based path — the agents in pre-order from
+   infinity, the servers in pre-order from infinity and from 0.0 — and
+   Eq. 15 is [Service_power.of_sums], which mirrors [Throughput.service]
+   operation for operation, so the result is bit-identical to it. *)
 let rho params ~bandwidth ~wapp tree =
-  Throughput.platform params ~bandwidth (spec_of_tree ~wapp tree)
+  let s =
+    {
+      agent_min = Float.infinity;
+      server_min = Float.infinity;
+      ratio_sum = 0.0;
+      rate_sum = 0.0;
+    }
+  in
+  let agents = ref 0 and servers = ref 0 in
+  let ratio = params.Adept_model.Params.server.wpre /. wapp in
+  let rec walk = function
+    | Tree.Server node ->
+        let power = Node.power node in
+        s.server_min <-
+          Float.min s.server_min (Throughput.server_sched params ~bandwidth ~power);
+        s.ratio_sum <- s.ratio_sum +. ratio;
+        s.rate_sum <- s.rate_sum +. (power /. wapp);
+        incr servers
+    | Tree.Agent (node, children) ->
+        let degree = List.length children in
+        if degree = 0 then
+          invalid_arg
+            (Printf.sprintf "Evaluate.rho: agent %s has no children" (Node.name node));
+        s.agent_min <-
+          Float.min s.agent_min
+            (Throughput.agent_sched params ~bandwidth ~power:(Node.power node) ~degree);
+        incr agents;
+        List.iter walk children
+  in
+  walk tree;
+  if !servers = 0 then invalid_arg "Evaluate.rho: hierarchy has no servers";
+  if wapp <= 0.0 || not (Float.is_finite wapp) then
+    invalid_arg "Evaluate.rho: wapp must be positive and finite";
+  let service =
+    Service_power.of_sums params ~bandwidth ~ratio_sum:s.ratio_sum ~rate_sum:s.rate_sum
+  in
+  if !agents = 0 then invalid_arg "Evaluate.rho: the root is a server, not an agent";
+  Float.min (Float.min s.agent_min s.server_min) service
 
 let rho_on params ~platform ~wapp tree =
   rho params ~bandwidth:(Platform.uniform_bandwidth platform) ~wapp tree

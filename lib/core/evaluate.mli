@@ -12,7 +12,11 @@ val spec_of_tree :
 
 val rho :
   Adept_model.Params.t -> bandwidth:float -> wapp:float -> Tree.t -> float
-(** Eq. 16 completed-request throughput of the deployment. *)
+(** Eq. 16 completed-request throughput of the deployment, bit-identical
+    to [Throughput.platform] over {!spec_of_tree}.
+    @raise Invalid_argument if the tree has no servers, an agent with no
+    children or a server at its root, or if [wapp] is not positive and
+    finite. *)
 
 val rho_on :
   Adept_model.Params.t -> platform:Platform.t -> wapp:float -> Tree.t -> float

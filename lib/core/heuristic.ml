@@ -25,9 +25,22 @@ type result = {
 type ag = { anode : Node.t; cap : int; mutable kids : kid list; mutable nkids : int }
 and kid = Kagent of ag | Kserver of Node.t
 
-let rec tree_of_ag a =
-  Tree.agent a.anode
-    (List.rev_map (function Kagent c -> tree_of_ag c | Kserver s -> Tree.server s) a.kids)
+(* [Tree.normalize (tree_of_ag root)] of the reference, built in one
+   pass: [kids] holds an agent's children newest-first, so folding it
+   while consing yields them in insertion order, and a non-root agent
+   left with fewer than two children is demoted on the spot — none
+   becomes a server, one becomes a server followed by its only child. *)
+let rec add_kid acc = function
+  | Kserver s -> Tree.Server s :: acc
+  | Kagent a -> (
+      match normalized_kids a with
+      | [] -> Tree.Server a.anode :: acc
+      | [ only ] -> Tree.Server a.anode :: only :: acc
+      | kids -> Tree.Agent (a.anode, kids) :: acc)
+
+and normalized_kids a = List.fold_left add_kid [] a.kids
+
+let normalized_tree root = Tree.Agent (root.anode, normalized_kids root)
 
 (* Agent lightening: the sorted order puts the strongest nodes in agent
    positions, but once the target [T] is fixed, any node whose Eq. 14
@@ -335,8 +348,7 @@ let build ?scratch params pool ~target =
     | None -> None
     | Some root ->
         Some
-          (lighten_agents params ~bandwidth ~target
-             (Tree.normalize (tree_of_ag root)))
+          (lighten_agents params ~bandwidth ~target (normalized_tree root))
   end
 
 let build_for_target params ~platform ~wapp ~target =
@@ -354,6 +366,44 @@ let pool_of params ~platform ~wapp =
   | Some bandwidth ->
       Some (Node_pool.create params ~bandwidth ~wapp (Platform.nodes platform))
 
+(* The reference keeps every feasible probe's tree and picks one at the
+   end: the most rho (fewest nodes on a tie) among all of them, unless
+   some meet the demand — then the fewest nodes (most rho on a tie) among
+   those.  Its folds run newest-first and keep the incumbent on a full
+   tie, so the newest of the tied probes wins.  These running bests see
+   the probes oldest-first, so they take the challenger on a full tie:
+   the same pick, with at most two trees alive. *)
+type 'a choice = {
+  most_rho : ('a * float * int) option;
+  fewest_meeting : ('a * float * int) option;
+}
+
+let no_choice = { most_rho = None; fewest_meeting = None }
+
+let offer ~demand choice ~rho ~used x =
+  let most_rho =
+    match choice.most_rho with
+    | Some (_, brho, bused) when rho < brho || (rho = brho && used > bused) ->
+        choice.most_rho
+    | Some _ | None -> Some (x, rho, used)
+  in
+  let fewest_meeting =
+    match demand with
+    | Demand.Rate r when rho >= r *. (1.0 -. 1e-9) -> (
+        match choice.fewest_meeting with
+        | Some (_, brho, bused) when used > bused || (used = bused && rho < brho) ->
+            choice.fewest_meeting
+        | Some _ | None -> Some (x, rho, used))
+    | Demand.Rate _ | Demand.Unbounded -> choice.fewest_meeting
+  in
+  { most_rho; fewest_meeting }
+
+let chosen choice =
+  match (choice.fewest_meeting, choice.most_rho) with
+  | Some (x, rho, _), _ -> Some (x, rho, true)
+  | None, Some (x, rho, _) -> Some (x, rho, false)
+  | None, None -> None
+
 let plan params ~platform ~wapp ~demand =
   let n = Platform.size platform in
   if n < 2 then Error "heuristic: need at least two nodes (one agent, one server)"
@@ -366,7 +416,7 @@ let plan params ~platform ~wapp ~demand =
     | Some bandwidth ->
         let pool = Node_pool.create params ~bandwidth ~wapp (Platform.nodes platform) in
         let probes = ref [] in
-        let candidates = ref [] in
+        let choice = ref no_choice in
         let scratch = scratch_for pool in
         let try_target target =
           match build ~scratch params pool ~target with
@@ -381,7 +431,7 @@ let plan params ~platform ~wapp ~demand =
               probes :=
                 { target; feasible = true; achieved_rho = rho; nodes_used = used }
                 :: !probes;
-              candidates := (tree, rho, used) :: !candidates;
+              choice := offer ~demand !choice ~rho ~used tree;
               true
         in
         (* Upper bound on any achievable rho: the strongest agent with a
@@ -405,9 +455,9 @@ let plan params ~platform ~wapp ~demand =
             end
           done;
           (* Make sure at least the degenerate plan exists. *)
-          if !candidates = [] then ignore (try_target (0.5 *. !lo))
+          if Option.is_none (chosen !choice) then ignore (try_target (0.5 *. !lo))
         end;
-        if !candidates = [] then
+        if Option.is_none (chosen !choice) then
           (* Fall back to one agent and one server, always feasible. *)
           ignore
             (try_target
@@ -417,45 +467,10 @@ let plan params ~platform ~wapp ~demand =
                        ~children:1)
                     (Service_power.of_servers params ~bandwidth ~wapp
                        [ Node_pool.node pool 1 ])));
-        match !candidates with
-        | [] -> Error "heuristic: could not build any feasible hierarchy"
-        | cands ->
-            let demand_rate =
-              match demand with Demand.Unbounded -> None | Demand.Rate r -> Some r
-            in
-            let meeting =
-              match demand_rate with
-              | None -> []
-              | Some r -> List.filter (fun (_, rho, _) -> rho >= r *. (1.0 -. 1e-9)) cands
-            in
-            let pick_max_rho l =
-              List.fold_left
-                (fun best ((_, rho, used) as c) ->
-                  match best with
-                  | None -> Some c
-                  | Some (_, brho, bused) ->
-                      if rho > brho || (rho = brho && used < bused) then Some c else best)
-                None l
-            in
-            let pick_min_used l =
-              List.fold_left
-                (fun best ((_, rho, used) as c) ->
-                  match best with
-                  | None -> Some c
-                  | Some (_, brho, bused) ->
-                      if used < bused || (used = bused && rho > brho) then Some c
-                      else best)
-                None l
-            in
-            let chosen, demand_met =
-              match meeting with
-              | [] -> (pick_max_rho cands, false)
-              | _ :: _ -> (pick_min_used meeting, true)
-            in
-            (match chosen with
-            | None -> Error "heuristic: empty candidate set"
-            | Some (tree, rho, _) ->
-                Ok { tree; predicted_rho = rho; probes = List.rev !probes; demand_met })
+        match chosen !choice with
+        | Some (tree, predicted_rho, demand_met) ->
+            Ok { tree; predicted_rho; probes = List.rev !probes; demand_met }
+        | None -> Error "heuristic: could not build any feasible hierarchy"
 
 let plan_tree params ~platform ~wapp ~demand =
   Result.map (fun r -> r.tree) (plan params ~platform ~wapp ~demand)

@@ -61,6 +61,35 @@ val plan :
     or heterogeneous connectivity (the model needs a single [B]).
     The returned tree always passes [Validate.check ~platform]. *)
 
+(** {1 Selection}
+
+    How {!plan} picks among its feasible probes, exposed so the tie rule
+    can be tested on payloads that differ (tied probes of a real plan
+    rebuild the same tree). *)
+
+type 'a choice
+(** The running best over the probes offered so far. *)
+
+val no_choice : 'a choice
+(** Nothing offered yet. *)
+
+val offer :
+  demand:Adept_model.Demand.t ->
+  'a choice ->
+  rho:float ->
+  used:int ->
+  'a ->
+  'a choice
+(** Offer the next feasible probe, in probe order.  Among all offers the
+    choice keeps the most [rho] (then the fewest [used]); among offers
+    with [rho >= r * (1 - 1e-9)] for a demand [Rate r], the fewest [used]
+    (then the most [rho]).  On a full tie the later offer wins. *)
+
+val chosen : 'a choice -> ('a * float * bool) option
+(** The pick and its [rho], and whether it meets the demand: the
+    fewest-[used] offer meeting the demand if there is one, else the
+    most-[rho] offer; [None] before any offer. *)
+
 val probe :
   Adept_model.Params.t -> Node_pool.t -> target:float -> Tree.t option
 (** One bisection probe against a prepared pool: the level-by-level

@@ -69,7 +69,9 @@ let ( let* ) = Result.bind
    candidate hierarchies the strategy evaluated, for the observability
    layer. *)
 let rec plan_tree strategy params ~platform ~wapp ~demand =
-  let nodes = Platform.sorted_by_power_desc platform in
+  (* Only the baselines read the power-sorted node list; the other arms
+     sort (or pool) the platform themselves. *)
+  let sorted () = Platform.sorted_by_power_desc platform in
   let typed r =
     Result.map_error
       (fun reason -> Error.no_feasible ~strategy:(strategy_name strategy) "%s" reason)
@@ -86,10 +88,11 @@ let rec plan_tree strategy params ~platform ~wapp ~demand =
         (Result.map
            (fun (r : Heuristic_reference.result) -> (r.tree, List.length r.probes))
            (Heuristic_reference.plan params ~platform ~wapp ~demand))
-  | Star -> typed (Result.map (fun t -> (t, 1)) (Baselines.star nodes))
+  | Star -> typed (Result.map (fun t -> (t, 1)) (Baselines.star (sorted ())))
   | Balanced k ->
-      typed (Result.map (fun t -> (t, 1)) (Baselines.balanced ~agents:k nodes))
-  | Dary d -> typed (Result.map (fun t -> (t, 1)) (Baselines.dary ~degree:d nodes))
+      typed (Result.map (fun t -> (t, 1)) (Baselines.balanced ~agents:k (sorted ())))
+  | Dary d ->
+      typed (Result.map (fun t -> (t, 1)) (Baselines.dary ~degree:d (sorted ())))
   | Homogeneous_optimal ->
       typed
         (Result.map

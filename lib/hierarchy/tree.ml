@@ -44,7 +44,12 @@ let agents_with_degree t =
   in
   List.rev (go [] t)
 
-let size t = List.length (nodes t)
+let size t =
+  let rec go acc = function
+    | Server _ -> acc + 1
+    | Agent (_, children) -> List.fold_left go (acc + 1) children
+  in
+  go 0 t
 
 let agent_count t = List.length (agents t)
 

@@ -8,10 +8,10 @@ let era_node_power = 730.0
 let check_n n = if n <= 0 then invalid_arg "Generator: n must be positive"
 
 let make_nodes ?(cluster = "default") ~n power_of_index =
+  let prefix = cluster ^ "-" in
   List.init n (fun i ->
-      Node.make ~id:i
-        ~name:(Printf.sprintf "%s-%d" cluster i)
-        ~power:(power_of_index i) ~cluster ())
+      Node.make ~id:i ~name:(prefix ^ string_of_int i) ~power:(power_of_index i)
+        ~cluster ())
 
 let homogeneous ?(bandwidth = 1000.0) ?cluster ~n ~power () =
   check_n n;

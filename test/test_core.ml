@@ -98,6 +98,27 @@ let test_evaluate_no_servers () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+let test_evaluate_rho_rejects () =
+  (* the single-walk evaluator refuses every tree the spec-list path
+     refuses, and so does the list path itself *)
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let both name ?(wapp = 16.0) t =
+    Alcotest.(check bool) (name ^ ": rho raises") true
+      (raises (fun () -> Evaluate.rho params ~bandwidth:b ~wapp t));
+    Alcotest.(check bool) (name ^ ": spec path raises") true
+      (raises (fun () ->
+           Adept_model.Throughput.platform params ~bandwidth:b (Evaluate.spec_of_tree ~wapp t)))
+  in
+  both "agent with no children"
+    (Tree.agent (node 0) [ Tree.server (node 1); Tree.agent (node 2) [] ]);
+  both "no servers" (Tree.agent (node 0) [ Tree.agent (node 1) [] ]);
+  both "childless root" (Tree.agent (node 0) []);
+  both "root server" (Tree.server (node 0));
+  let star = Tree.star (node 0) [ node 1; node 2 ] in
+  List.iter
+    (fun wapp -> both (Printf.sprintf "wapp %g" wapp) ~wapp star)
+    [ 0.0; -16.0; Float.infinity; Float.nan ]
+
 let test_evaluate_report () =
   let t = Tree.star (node 0) [ node 1 ] in
   let report = Evaluate.report params ~bandwidth:b ~wapp:16.0 t in
@@ -864,6 +885,113 @@ let test_equivalence_cold_plan_specs () =
     [ 1001; 1002; 1003 ];
   check_equivalent ~msg:"cold demand " (cold 1004) (dgemm 310) (Demand.rate 900.0)
 
+(* The reference picks its plan from all feasible probes at the end;
+   the pooled planner keeps a running best.  Equal (rho, nodes used)
+   keys are common — a homogeneous platform rebuilds one tree at most
+   of its bisection targets — so both selections must break them the
+   same way. *)
+let test_equivalence_selection_ties () =
+  let tied_at ~rho ~used (r : Heuristic.result) =
+    List.length
+      (List.filter
+         (fun (p : Heuristic.probe) ->
+           p.Heuristic.feasible && p.Heuristic.achieved_rho = rho
+           && p.Heuristic.nodes_used = used)
+         r.Heuristic.probes)
+  in
+  List.iter
+    (fun (n, bandwidth, size) ->
+      let platform = Generator.homogeneous ~bandwidth ~n ~power:730.0 () in
+      let wapp = dgemm size in
+      let msg = Printf.sprintf "homogeneous %d, B %g, DGEMM %d: " n bandwidth size in
+      (* unbounded: the best (rho, nodes used) is reached by several probes *)
+      check_equivalent ~msg platform wapp Demand.unbounded;
+      let best = plan_on platform wapp Demand.unbounded in
+      let rho = best.Heuristic.predicted_rho and used = Tree.size best.Heuristic.tree in
+      Alcotest.(check bool) (msg ^ "best key tied") true (tied_at ~rho ~used best >= 2);
+      (* a demand of exactly that rate: the search starts at the demand,
+         finds it infeasible, and bisects below it into probes that meet
+         it, several with the fewest nodes and the same rho *)
+      let demand = Demand.rate rho in
+      check_equivalent ~msg:(msg ^ "demand ") platform wapp demand;
+      let met = plan_on platform wapp demand in
+      Alcotest.(check bool) (msg ^ "demand met") true met.Heuristic.demand_met;
+      let meeting =
+        List.filter
+          (fun (p : Heuristic.probe) ->
+            p.Heuristic.feasible && Demand.is_met demand p.Heuristic.achieved_rho)
+          met.Heuristic.probes
+      in
+      let fewest =
+        List.fold_left (fun acc (p : Heuristic.probe) -> min acc p.Heuristic.nodes_used)
+          max_int meeting
+      in
+      Alcotest.(check int) (msg ^ "fewest nodes chosen") fewest (Tree.size met.Heuristic.tree);
+      Alcotest.(check bool) (msg ^ "fewest-nodes key tied") true
+        (tied_at ~rho:met.Heuristic.predicted_rho ~used:fewest met >= 2))
+    [ (8, 100.0, 200); (8, 1000.0, 200); (12, 1000.0, 310) ]
+
+(* The reference's final pick, verbatim over (payload, rho, used)
+   candidates kept newest-first: the oracle for [Heuristic.offer]. *)
+let reference_pick demand newest_first =
+  let meeting =
+    match demand with
+    | Demand.Unbounded -> []
+    | Demand.Rate r -> List.filter (fun (_, rho, _) -> rho >= r *. (1.0 -. 1e-9)) newest_first
+  in
+  let pick_max_rho l =
+    List.fold_left
+      (fun best ((_, rho, used) as c) ->
+        match best with
+        | None -> Some c
+        | Some (_, brho, bused) ->
+            if rho > brho || (rho = brho && used < bused) then Some c else best)
+      None l
+  in
+  let pick_min_used l =
+    List.fold_left
+      (fun best ((_, rho, used) as c) ->
+        match best with
+        | None -> Some c
+        | Some (_, brho, bused) ->
+            if used < bused || (used = bused && rho > brho) then Some c else best)
+      None l
+  in
+  match meeting with
+  | [] -> Option.map (fun (x, rho, _) -> (x, rho, false)) (pick_max_rho newest_first)
+  | _ :: _ -> Option.map (fun (x, rho, _) -> (x, rho, true)) (pick_min_used meeting)
+
+let prop_choice_matches_reference_pick =
+  (* tied probes of a real plan rebuild one tree, so only distinct
+     payloads show which of the tied offers the running best keeps: few
+     rho and size levels make full ties the common case *)
+  QCheck.Test.make ~count:500 ~name:"Heuristic.offer picks what the reference folds pick"
+    QCheck.(
+      pair (int_range 0 4)
+        (list_of_size Gen.(int_range 0 12) (pair (int_range 1 3) (int_range 1 3))))
+    (fun (d, offers) ->
+      let demand =
+        match d with
+        | 0 -> Demand.unbounded
+        | d -> Demand.rate [| 0.0; 10.0; 20.0; 25.0; 40.0 |].(d)
+      in
+      let offers = List.mapi (fun i (r, used) -> (i, 10.0 *. float_of_int r, used)) offers in
+      let choice =
+        List.fold_left
+          (fun c (i, rho, used) -> Heuristic.offer ~demand c ~rho ~used i)
+          Heuristic.no_choice offers
+      in
+      Heuristic.chosen choice = reference_pick demand (List.rev offers))
+
+let test_choice_full_tie_keeps_newest () =
+  let offer c (i, rho, used) = Heuristic.offer ~demand:(Demand.rate 5.0) c ~rho ~used i in
+  let c = List.fold_left offer Heuristic.no_choice [ (0, 4.0, 3); (1, 4.0, 3) ] in
+  Alcotest.(check bool) "most rho: the later of two full ties" true
+    (Heuristic.chosen c = Some (1, 4.0, false));
+  let c = List.fold_left offer c [ (2, 6.0, 2); (3, 7.0, 3); (4, 6.0, 2) ] in
+  Alcotest.(check bool) "fewest meeting: the later of two full ties" true
+    (Heuristic.chosen c = Some (4, 6.0, true))
+
 let strongest_server tree =
   List.fold_left (fun acc n -> Float.max acc (Node.power n)) Float.neg_infinity
     (Tree.servers tree)
@@ -1184,6 +1312,79 @@ let prop_heuristic_bounded_by_oracle =
               && Validate.is_valid ~platform heur.Heuristic.tree
               && opt_rho > 0.0 && bounded_by_oracle && demand_consistent))
 
+(* A random valid hierarchy over fresh node ids: the root has 1..k
+   children, every other agent 2..k, and a child is an agent with
+   probability 1/3 until [depth] runs out.  Powers are drawn from a few
+   repeated levels and a continuous range, so equal and distinct powers
+   mix. *)
+let random_tree rng ~k ~depth =
+  let next = ref 0 in
+  let fresh () =
+    let id = !next in
+    incr next;
+    let power =
+      if Rng.bool rng then Rng.pick rng [| 255.5; 437.0; 730.0 |]
+      else Rng.float_in rng 50.0 2000.0
+    in
+    Node.make ~id ~name:(Printf.sprintf "n%d" id) ~power ()
+  in
+  let rec agent ~min_degree depth =
+    let node = fresh () in
+    let degree = Rng.int_in rng min_degree (max min_degree k) in
+    Tree.agent node
+      (List.init degree (fun _ ->
+           if depth > 0 && Rng.int rng 3 = 0 then agent ~min_degree:2 (depth - 1)
+           else Tree.server (fresh ())))
+  in
+  agent ~min_degree:1 depth
+
+let gen_tree_case =
+  QCheck.make
+    ~print:(fun (seed, k, depth) -> Printf.sprintf "seed=%d k=%d depth=%d" seed k depth)
+    QCheck.Gen.(triple (int_range 0 100_000) (int_range 1 30) (int_range 0 3))
+
+let rho_bits_equal ~bandwidth ~wapp tree =
+  Int64.equal
+    (Int64.bits_of_float (Evaluate.rho params ~bandwidth ~wapp tree))
+    (Int64.bits_of_float
+       (Adept_model.Throughput.platform params ~bandwidth (Evaluate.spec_of_tree ~wapp tree)))
+
+let test_rho_matches_spec_wide () =
+  (* fixed wide trees: hundreds of servers summed in the Eq. 15 folds,
+     where a reordered or re-associated sum shows in the last bits once
+     the job is large enough for the service side to bind *)
+  for seed = 0 to 49 do
+    let tree = random_tree (Rng.create seed) ~k:80 ~depth:2 in
+    List.iter
+      (fun wapp ->
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d, wapp %g" seed wapp)
+          true
+          (rho_bits_equal ~bandwidth:1000.0 ~wapp tree))
+      [ 1e-3; 0.37; 59.6; 2000.0; 20000.0 ]
+  done
+
+let prop_rho_matches_spec =
+  (* [Evaluate.rho] walks the tree once instead of building the spec
+     lists; the oracle property cannot see drift in it (the reference
+     calls it too), so pin it to the list path bit for bit *)
+  QCheck.Test.make ~count:1000 ~name:"Evaluate.rho bit-equal to Throughput.platform of the spec"
+    gen_tree_case
+    (fun (seed, k, depth) ->
+      let rng = Rng.create seed in
+      let tree = random_tree rng ~k ~depth in
+      let bandwidth = Rng.pick rng [| 10.0; 100.0; 1000.0 |] in
+      (* log-uniform over 1e-3..1e4 MFlop: tiny jobs make the Eq. 15
+         prediction sum outweigh its leading 1 *)
+      let wapp = 10.0 ** Rng.float_in rng (-3.0) 4.0 in
+      Validate.is_valid tree && rho_bits_equal ~bandwidth ~wapp tree)
+
+let prop_size_counts_nodes =
+  QCheck.Test.make ~count:300 ~name:"Tree.size counts Tree.nodes" gen_tree_case
+    (fun (seed, k, depth) ->
+      let tree = random_tree (Rng.create seed) ~k ~depth in
+      Tree.size tree = List.length (Tree.nodes tree))
+
 let prop_dary_valid_and_spanning =
   QCheck.Test.make ~count:150 ~name:"dary trees always validate and span"
     QCheck.(pair (int_range 2 60) (int_range 1 12))
@@ -1395,6 +1596,10 @@ let () =
         [
           Alcotest.test_case "star spec" `Quick test_evaluate_star;
           Alcotest.test_case "rejects empty" `Quick test_evaluate_no_servers;
+          Alcotest.test_case "rho rejects what the spec rejects" `Quick
+            test_evaluate_rho_rejects;
+          Alcotest.test_case "rho bit-equal on wide trees" `Quick
+            test_rho_matches_spec_wide;
           Alcotest.test_case "report" `Quick test_evaluate_report;
         ] );
       ( "multi_cluster",
@@ -1496,6 +1701,9 @@ let () =
             test_equivalence_two_node_boundary;
           Alcotest.test_case "cold-plan specs" `Quick test_equivalence_cold_plan_specs;
           Alcotest.test_case "lightening paths" `Quick test_equivalence_lighten_paths;
+          Alcotest.test_case "selection ties" `Quick test_equivalence_selection_ties;
+          Alcotest.test_case "full tie keeps the newest" `Quick
+            test_choice_full_tie_keeps_newest;
         ] );
       ( "replan_incremental",
         [
@@ -1516,6 +1724,9 @@ let () =
             prop_heuristic_bounded_by_oracle;
             prop_dary_valid_and_spanning;
             prop_pooled_matches_reference;
+            prop_rho_matches_spec;
+            prop_choice_matches_reference_pick;
+            prop_size_counts_nodes;
             prop_min_servers_matches_naive_scan;
             prop_replan_incremental_within_slack;
           ] );
